@@ -16,8 +16,6 @@ from .errors import (ConvergenceRow, StudyResult, eoc_table,
 from .fem import (StructuredTriMesh, build_mesh, interpolate, l1_norm,
                   l2_inner, l2_norm, linf_norm, mass_matrix,
                   stiffness_matrix)
-from .linalg import (CgError, SparseMatrix, add_scaled, assemble, cg_solve,
-                     matvec)
 from .optimizer import (DiscreteProblem, FixedPointError, SolveReport,
                         discretize_problem, fixed_point_solve)
 from .problems import (ProblemSpec, SeparableTerm, example1, example2,

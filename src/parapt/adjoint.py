@@ -14,25 +14,22 @@ exclusively through its interval means.
 
 import numpy as np
 
-from .linalg import cg_solve, matvec
 from .state import StepMatrixCache, interval_time_integrals
 from .timegrid import PiecewiseConstantField, PiecewiseLinearField
 
 
 def _interval_loads(M_h, grid, pc_part, terms):
     """H_m = integral of (h, phi_i) over I_m, for m = 1..M."""
-    H = np.zeros((grid.M, M_h.n_rows))
+    H = np.zeros((grid.M, M_h.shape[0]))
     if pc_part is not None:
-        for m in range(grid.M):
-            H[m] = grid.k[m] * matvec(M_h, pc_part.values[m])
+        H += grid.k[:, None] * (M_h @ pc_part.values[:grid.M].T).T
     for term in terms:
         w = interval_time_integrals(term, grid)
-        H += np.outer(w, matvec(M_h, term.spatial))
+        H += np.outer(w, M_h @ term.spatial)
     return H
 
 
-def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), tol=1e-12,
-                  cache=None):
+def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), cache=None):
     """March backward from beta_M = 0; returns the nodal-value field.
 
     The right-hand side is the sum of an optional piecewise-constant field
@@ -42,11 +39,11 @@ def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), tol=1e-12,
     H = _interval_loads(M_h, grid, pc_part, terms)
     cache = cache or StepMatrixCache(M_h, K_h)
     M = grid.M
-    betas = np.zeros((M + 1, M_h.n_rows))
+    betas = np.zeros((M + 1, M_h.shape[0]))
     b = betas[M]
     for m in range(M, 0, -1):
-        rhs = matvec(M_h, b) - 0.5 * grid.k[m - 1] * matvec(K_h, b) + H[m - 1]
-        b, _ = cg_solve(cache.get(grid.k[m - 1]), rhs, tol=tol, x0=b)
+        rhs = M_h @ b - 0.5 * grid.k[m - 1] * (K_h @ b) + H[m - 1]
+        b = cache.solve(grid.k[m - 1], rhs)
         betas[m - 1] = b
     return PiecewiseLinearField(grid.t.copy(), betas)
 
@@ -61,10 +58,10 @@ def adjoint_stability_check(p_k, rhs_norm, M_h, K_h, grid):
         mid = 0.5 * (a + b)
         # Simpson is exact for the quadratic t -> ||p(t)||^2
         sq_l2 += grid.k[m] / 6.0 * (
-            float(a @ matvec(M_h, a)) + 4.0 * float(mid @ matvec(M_h, mid))
-            + float(b @ matvec(M_h, b)))
+            float(a @ (M_h @ a)) + 4.0 * float(mid @ (M_h @ mid))
+            + float(b @ (M_h @ b)))
         d = (b - a) / grid.k[m]
-        sq_dt += grid.k[m] * float(d @ matvec(M_h, d))
+        sq_dt += grid.k[m] * float(d @ (M_h @ d))
     h1 = np.sqrt(sq_l2 + sq_dt)
-    grad0 = np.sqrt(max(float(betas[0] @ matvec(K_h, betas[0])), 0.0))
+    grad0 = np.sqrt(max(float(betas[0] @ (K_h @ betas[0])), 0.0))
     return (h1 + grad0) / rhs_norm

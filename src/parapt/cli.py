@@ -6,10 +6,12 @@ summary with iteration counts and wall times.  CSV content depends only
 on the chosen flags, so repeat runs are byte-identical.
 
 Exit codes: 0 on success, 1 on usage errors (unknown problem, bad level
-list, unwritable output directory), 2 on solver failures.
+list, non-positive or non-finite alpha, unwritable output directory), 2 on
+solver failures.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,6 +26,8 @@ DEFAULT_LEVELS = {
     "manufactured": "8,16,32,64,128",
 }
 TABLE_ORDER = ("control", "state", "state_projected", "adjoint")
+PROBLEMS = {"1": problems.example1, "2": problems.example2,
+            "manufactured": problems.manufactured_smooth}
 
 
 def _fmt(x):
@@ -113,7 +117,8 @@ def build_parser():
     ap.add_argument("--threshold", type=float,
                     help="fixed-point stopping threshold (default 1e-5)")
     ap.add_argument("--alpha", type=float,
-                    help="override the regularization parameter")
+                    help="override the regularization parameter (positive, "
+                         "finite)")
     ap.add_argument("--out", help="output directory (default ./out)")
     ap.add_argument("--format", dest="fmt", help="csv, md or both")
     ap.add_argument("--config", help="key=value file; flags win")
@@ -168,7 +173,9 @@ def main(argv=None):
         nh = int(pick(args.nh, "nh", 65))
         threshold = float(pick(args.threshold, "threshold", 1e-5))
         alpha = pick(args.alpha, "alpha", None)
-        alpha = None if alpha is None else float(alpha)
+        spec = PROBLEMS[example]()
+        if alpha is not None:
+            spec = dataclasses.replace(spec, alpha=float(alpha))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -187,14 +194,7 @@ def main(argv=None):
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    if example == "1":
-        spec = problems.example1()
-    elif example == "2":
-        spec = problems.example2()
-    else:
-        spec = problems.manufactured_smooth()
     if alpha is not None:
-        spec.alpha = alpha
         if spec.name != "manufactured":
             print("note: alpha override changes the problem; exact-solution "
                   "errors refer to the original data", file=sys.stderr)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matvec
 from .quadrature import gauss_points, split_at
 from .state import RhsTerm
 
@@ -155,8 +154,8 @@ def apply_B_adjoint(p_k, shapes, M_h):
     shape functions g_i; the pairing of a piecewise-linear field is again
     piecewise linear, so nodal values determine it.  Returns (D, M+1).
     """
-    Mg = np.column_stack([matvec(M_h, g) for g in shapes]) if shapes else \
-        np.zeros((M_h.n_rows, 0))
+    Mg = np.column_stack([M_h @ g for g in shapes]) if shapes else \
+        np.zeros((M_h.shape[0], 0))
     return (p_k.values @ Mg).T
 
 

@@ -17,44 +17,48 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .control import control_norms
-from .fem import (build_mesh, interpolate, l1_norm, linf_norm, mass_matrix,
-                  stiffness_matrix)
-from .linalg import matvec
+from .fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from .optimizer import FixedPointError, discretize_problem, fixed_point_solve
 from .quadrature import gauss_points
-from .state import RhsTerm, solve_state
+from .state import RhsTerm, StepMatrixCache, solve_state
 from .timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                        dual_linear_projection, uniform_grid)
 
 NORM_KEYS = ("L1", "L2", "Linf")
+CHUNK_ENTRIES = 2**16    # sampled coefficients per chunk of field_error_norms
 
 
 def field_error_norms(exact_terms, approx, mesh, M_h):
     """L1(L1), L2(L2), Linf(Linf) distance of a discrete field from a sum
-    of separable terms (theta, interior coefficient vector)."""
-    if isinstance(approx, PiecewiseConstantField):
-        edges = approx.grid.t
-    else:
-        edges = approx.times
+    of separable terms (theta, interior coefficient vector).
+
+    Each interval is sampled at its two ends and its five Gauss points.
+    Intervals are processed in chunks of at most ``CHUNK_ENTRIES`` sampled
+    coefficients (at least one interval), so memory stays bounded on fine
+    grids.
+    """
+    piecewise_constant = isinstance(approx, PiecewiseConstantField)
+    edges = approx.grid.t if piecewise_constant else approx.times
+    pts, wts = gauss_points(edges[:-1], edges[1:])
+    samples = np.column_stack([edges[:-1], pts, edges[1:]])  # (intervals, 7)
+    n = M_h.shape[0]
+    per_chunk = max(1, CHUNK_ENTRIES // (samples.shape[1] * max(n, 1)))
     l1 = l2sq = linf = 0.0
-    for m in range(len(edges) - 1):
-        t0, t1 = edges[m], edges[m + 1]
-        pts, wts = gauss_points(t0, t1)
-        sample = np.concatenate([[t0], pts, [t1]])
-        exact = np.zeros((len(sample), M_h.n_rows))
+    for lo in range(0, len(samples), per_chunk):
+        sample = samples[lo:lo + per_chunk]
+        err = np.zeros(sample.shape + (n,))
         for theta, g in exact_terms:
-            exact += (np.asarray(theta(sample), dtype=float)[:, None]
-                      * g[None, :])
-        if isinstance(approx, PiecewiseConstantField):
-            approx_vals = np.broadcast_to(approx.values[m], exact.shape)
+            vals = np.asarray(theta(sample.ravel()), dtype=float)
+            err += vals.reshape(sample.shape)[..., None] * g
+        if piecewise_constant:
+            err -= approx.values[lo:lo + len(sample), None, :]
         else:
-            approx_vals = approx.value(sample)
-        err = exact - approx_vals
-        for q in range(len(pts)):
-            e = err[1 + q]
-            l2sq += wts[q] * float(e @ matvec(M_h, e))
-            l1 += wts[q] * l1_norm(mesh, e)
-        linf = max(linf, max(linf_norm(e) for e in err))
+            err -= approx.value(sample)
+        w = wts[lo:lo + per_chunk].ravel()
+        e = err[:, 1:-1].reshape(len(w), n)      # Gauss-point rows, a copy
+        l2sq += float(w @ np.einsum("qi,iq->q", e, M_h @ e.T))
+        l1 += float(w @ (np.abs(e, out=e) @ mesh.lumped_weights))
+        linf = max(linf, float(np.abs(err, out=err).max(initial=0.0)))
     return {"L1": l1, "L2": float(np.sqrt(max(l2sq, 0.0))), "Linf": linf}
 
 
@@ -112,7 +116,7 @@ def _exact_pairs(mesh, terms):
 
 
 def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
-              cg_tol=1e-12, verbose=False):
+              verbose=False):
     """Optimal-control convergence study over a list of interval counts.
 
     Solves the full fixed-point problem per level and tabulates control,
@@ -135,7 +139,7 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
         tic = time.perf_counter()
         try:
             report = fixed_point_solve(dp, grid, threshold=threshold,
-                                       max_iters=max_iters, cg_tol=cg_tol)
+                                       max_iters=max_iters)
         except FixedPointError as exc:
             result.failures[M] = str(exc)
             result.iterations.append(exc.report.iterations)
@@ -160,8 +164,7 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
     return result
 
 
-def run_state_study(problem, levels, n_per_side=65, cg_tol=1e-12,
-                    verbose=False):
+def run_state_study(problem, levels, n_per_side=65, verbose=False):
     """Pure discretization study without the optimizer.
 
     Solves the state equation (and the adjoint equation for the problem's
@@ -180,13 +183,14 @@ def run_state_study(problem, levels, n_per_side=65, cg_tol=1e-12,
     y_pairs = _exact_pairs(mesh, problem.exact.y)
     p_pairs = _exact_pairs(mesh, problem.exact.p)
 
+    cache = StepMatrixCache(M_h, K_h)
     entries = {key: [] for key in ("state", "state_projected", "adjoint")}
     result = StudyResult(problem.name, n_per_side, 0.0, list(levels))
     for level, M in enumerate(levels, start=1):
         grid = uniform_grid(problem.T, M)
         tic = time.perf_counter()
-        y_k = solve_state(M_h, K_h, grid, f_terms, y0, tol=cg_tol)
-        p_k = solve_adjoint(M_h, K_h, grid, terms=h_terms, tol=cg_tol)
+        y_k = solve_state(M_h, K_h, grid, f_terms, y0, cache=cache)
+        p_k = solve_adjoint(M_h, K_h, grid, terms=h_terms, cache=cache)
         errs = {
             "state": field_error_norms(y_pairs, y_k, mesh, M_h),
             "state_projected": field_error_norms(

@@ -10,8 +10,7 @@ indexed by interior degrees of freedom.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .linalg import assemble
+import scipy.sparse as sp
 
 
 @dataclass
@@ -94,14 +93,16 @@ def _lumped_weights(mesh):
 
 
 def _assemble_pair(mesh, local):
-    """Assemble interior-restricted matrix from (ntri,3,3) local blocks."""
+    """Interior-restricted CSR matrix from (ntri,3,3) local blocks;
+    duplicate entries are summed."""
     tri_dofs = mesh.interior_index[mesh.triangles]        # (ntri, 3)
     rows = np.repeat(tri_dofs, 3, axis=1).ravel()
     cols = np.tile(tri_dofs, (1, 3)).ravel()
     vals = local.ravel()
     keep = (rows >= 0) & (cols >= 0)
     nd = mesh.interior.size
-    return assemble(nd, nd, (rows[keep], cols[keep], vals[keep]))
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(nd, nd)).tocsr()
 
 
 def mass_matrix(mesh):
@@ -134,8 +135,7 @@ def interpolate(mesh, f):
 
 
 def l2_inner(M_h, u, v):
-    from .linalg import matvec
-    return float(u @ matvec(M_h, v))
+    return float(u @ (M_h @ v))
 
 
 def l2_norm(M_h, u):

@@ -17,14 +17,14 @@ from .adjoint import solve_adjoint
 from .control import (apply_B_adjoint, clamp_control, constant_control,
                       control_to_rhs_terms)
 from .fem import interpolate
-from .linalg import matvec
 from .quadrature import gauss_points
 from .state import (RhsTerm, StepMatrixCache, interval_time_integrals,
                     solve_state)
 
 
 class FixedPointError(RuntimeError):
-    """Iteration budget exhausted; carries the partial report."""
+    """Iteration budget exhausted or a non-finite criterion; carries the
+    partial report."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -49,7 +49,7 @@ def _tracking_misfit_sq(y_k, yd_terms, M_h, grid):
     Exact in the piecewise-constant factor, 5-point Gauss in the smooth
     target factors.
     """
-    Mg = [matvec(M_h, t.spatial) for t in yd_terms]
+    Mg = [M_h @ t.spatial for t in yd_terms]
     gram = np.array([[float(ti.spatial @ Mgj) for Mgj in Mg]
                      for ti in yd_terms]) if yd_terms else np.zeros((0, 0))
     pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
@@ -62,7 +62,7 @@ def _tracking_misfit_sq(y_k, yd_terms, M_h, grid):
                             for t in yd_terms])          # (terms, M)
     for m in range(grid.M):
         a = y_k.values[m]
-        total += grid.k[m] * float(a @ matvec(M_h, a))
+        total += grid.k[m] * float(a @ (M_h @ a))
         if yd_terms:
             cross = np.array([a @ Mgj for Mgj in Mg])
             total -= 2.0 * float(cross @ th_ints[:, m])
@@ -98,14 +98,13 @@ def discretize_problem(problem, mesh, M_h, K_h):
                            source_terms, yd_terms)
 
 
-def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None,
-                      cg_tol=1e-12):
+def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     """Run the clamp fixed-point iteration on one time grid.
 
     ``dp`` is a DiscreteProblem.  The initial control defaults to the
     constant lower bound.  Returns a SolveReport; raises FixedPointError
     (with the partial report attached) when max_iters sweeps do not meet
-    the threshold.
+    the threshold, or at the first sweep whose criterion is not finite.
     """
     cache = StepMatrixCache(dp.M_h, dp.K_h)
     u = u_init if u_init is not None else constant_control(
@@ -116,10 +115,9 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None,
     history = []
     for sweep in range(1, max_iters + 1):
         terms = control_to_rhs_terms(u, dp.shapes) + dp.source_terms
-        y_k = solve_state(dp.M_h, dp.K_h, grid, terms, dp.y0, tol=cg_tol,
-                          cache=cache)
+        y_k = solve_state(dp.M_h, dp.K_h, grid, terms, dp.y0, cache=cache)
         p_k = solve_adjoint(dp.M_h, dp.K_h, grid, pc_part=y_k, terms=neg_yd,
-                            tol=cg_tol, cache=cache)
+                            cache=cache)
         w = apply_B_adjoint(p_k, dp.shapes, dp.M_h)
         misfit = _tracking_misfit_sq(y_k, dp.yd_terms, dp.M_h, grid)
         history.append(0.5 * misfit + 0.5 * dp.alpha * u.squared_l2())
@@ -128,6 +126,11 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None,
         if crit < threshold:
             return SolveReport(u, y_k, p_k, sweep, crit, True, history[-1],
                                history)
+        if w_old is not None and not np.isfinite(crit):
+            raise FixedPointError(
+                f"non-finite criterion {crit} at sweep {sweep}",
+                SolveReport(u, y_k, p_k, sweep, crit, False, history[-1],
+                            history))
         w_old = w
     report = SolveReport(u, y_k, p_k, max_iters, crit, False, history[-1],
                          history)

@@ -63,6 +63,11 @@ class ProblemSpec:
     y_d: list                # SeparableTerm list, tracking target
     exact: ExactSolution = None
 
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, "
+                             f"got {self.alpha}")
+
     @property
     def n_controls(self):
         return self.uad.dim

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import cg
 
-from .linalg import add_scaled, cg_solve, matvec
 from .quadrature import gauss_points, split_at
 from .timegrid import PiecewiseConstantField
 
@@ -78,56 +80,89 @@ def interval_time_integrals(term, grid):
 
 def _load_vectors(M_h, terms, grid):
     """Hat-weighted load vectors F_0..F_M."""
-    n = M_h.n_rows
-    F = np.zeros((grid.M + 1, n))
+    F = np.zeros((grid.M + 1, M_h.shape[0]))
     for term in terms:
         w = hat_time_integrals(term, grid)
-        F += np.outer(w, matvec(M_h, term.spatial))
+        F += np.outer(w, M_h @ term.spatial)
     return F
 
 
 class StepMatrixCache:
-    """Per-interval matrices M + (k/2) K, shared across solves on a grid."""
+    """Banded Cholesky factor of M + (k/2) K for the latest step size.
+
+    Only one factor is alive at a time: on a uniform grid every step hits
+    it, and on a graded grid each new step size replaces it, so memory does
+    not grow with the number of intervals.  Step sizes are compared after
+    rounding to 12 significant digits, because the differences of a
+    linspace differ in the last bits; the factor is built from the first
+    step size of its class.
+    """
 
     def __init__(self, M_h, K_h):
         self.M_h = M_h
         self.K_h = K_h
-        self._cache = {}
+        self._key = None
+        self._factor = None
 
     def get(self, k):
-        key = float(k)
-        if key not in self._cache:
-            self._cache[key] = add_scaled(self.M_h, self.K_h, 1.0, 0.5 * key)
-        return self._cache[key]
+        """Lower banded Cholesky factor of M + (k/2) K."""
+        key = float(f"{float(k):.12g}")
+        if key != self._key:
+            self._factor = None          # release the old factor first
+            low = sp.tril(self.M_h + 0.5 * float(k) * self.K_h).tocoo()
+            offset = low.row - low.col
+            band = np.zeros((offset.max(initial=0) + 1, low.shape[0]),
+                            order="F")      # LAPACK layout: factored in place
+            band[offset, low.col] = low.data
+            self._factor = cholesky_banded(band, overwrite_ab=True,
+                                           lower=True, check_finite=False)
+            self._key = key
+        return self._factor
+
+    def solve(self, k, rhs):
+        """Solve (M + (k/2) K) x = rhs with the factor for step size k."""
+        return cho_solve_banded((self.get(k), True), rhs, check_finite=False)
 
 
-def solve_state(M_h, K_h, grid, terms, y0, tol=1e-12, cache=None):
+def _mass_solve(M_h, rhs, x0):
+    """Solve M x = rhs by Jacobi-preconditioned CG to relative residual
+    1e-14.  A non-finite right-hand side gives NaN at once rather than
+    a full budget of iterations on NaN."""
+    if not np.all(np.isfinite(rhs)):
+        return np.full_like(rhs, np.nan)
+    x, info = cg(M_h, rhs, x0=x0, rtol=1e-14, atol=0.0,
+                 M=sp.diags(1.0 / M_h.diagonal()))
+    if info:
+        raise np.linalg.LinAlgError(
+            f"mass-matrix CG stopped at info={info} before rtol 1e-14")
+    return x
+
+
+def solve_state(M_h, K_h, grid, terms, y0, cache=None):
     """March the damped scheme forward; returns the interval-value field."""
     y0 = np.asarray(y0, dtype=float)
     F = _load_vectors(M_h, terms, grid)
     cache = cache or StepMatrixCache(M_h, K_h)
     M = grid.M
-    alphas = np.zeros((M + 1, M_h.n_rows))
+    alphas = np.zeros((M + 1, M_h.shape[0]))
 
-    a, _ = cg_solve(cache.get(grid.k[0]), matvec(M_h, y0) + F[0], tol=tol,
-                    x0=y0)
+    a = cache.solve(grid.k[0], M_h @ y0 + F[0])
     alphas[0] = a
     for m in range(1, M):
-        rhs = matvec(M_h, a) - 0.5 * grid.k[m - 1] * matvec(K_h, a) + F[m]
-        a, _ = cg_solve(cache.get(grid.k[m]), rhs, tol=tol, x0=a)
+        rhs = M_h @ a - 0.5 * grid.k[m - 1] * (K_h @ a) + F[m]
+        a = cache.solve(grid.k[m], rhs)
         alphas[m] = a
-    rhs = matvec(M_h, a) - 0.5 * grid.k[M - 1] * matvec(K_h, a) + F[M]
-    terminal, _ = cg_solve(M_h, rhs, tol=tol, x0=a)
-    alphas[M] = terminal
+    rhs = M_h @ a - 0.5 * grid.k[M - 1] * (K_h @ a) + F[M]
+    alphas[M] = _mass_solve(M_h, rhs, x0=a)
     return PiecewiseConstantField(grid, alphas)
 
 
 def state_l2_stability_check(y_k, terms, y0, M_h, grid):
     """Ratio ||y_k|| / (||f|| + ||y0||) in L2(L2); bounded uniformly in k."""
     num = np.sqrt(sum(
-        grid.k[m] * float(y_k.values[m] @ matvec(M_h, y_k.values[m]))
+        grid.k[m] * float(y_k.values[m] @ (M_h @ y_k.values[m]))
         for m in range(grid.M)))
-    Mg = [matvec(M_h, term.spatial) for term in terms]
+    Mg = [M_h @ term.spatial for term in terms]
     gram = np.array([[float(term.spatial @ Mgj) for Mgj in Mg]
                      for term in terms])
     pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
@@ -138,5 +173,5 @@ def state_l2_stability_check(y_k, terms, y0, M_h, grid):
         # integral of sum_ij theta_i theta_j (g_i, g_j), cross terms included
         sq = float(np.einsum("ipq,jpq,ij,pq->", theta, theta, gram, wts))
     f_norm = np.sqrt(max(sq, 0.0))
-    y0_norm = np.sqrt(max(float(np.asarray(y0) @ matvec(M_h, y0)), 0.0))
+    y0_norm = np.sqrt(max(float(np.asarray(y0) @ (M_h @ y0)), 0.0))
     return num / (f_norm + y0_norm)

@@ -9,9 +9,7 @@ sweeps in the package.
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse import csr_matrix
 
-from parapt.linalg import matvec
 from parapt.quadrature import gauss_points, split_at
 from parapt.timegrid import PiecewiseConstantField
 
@@ -24,15 +22,6 @@ ACCEPTANCE_LINES = []
 def record(number, ok, detail, informational=False):
     tag = "INFO" if informational else ("PASS" if ok else "FAIL")
     ACCEPTANCE_LINES.append((number, f"[{tag}] criterion {number}: {detail}"))
-
-
-def densify(A):
-    cols = []
-    for j in range(A.n_cols):
-        e = np.zeros(A.n_cols)
-        e[j] = 1.0
-        cols.append(matvec(A, e))
-    return np.column_stack(cols)
 
 
 def l2l2_distance(a, b, M_h, chunk=256):
@@ -49,12 +38,10 @@ def l2l2_distance(a, b, M_h, chunk=256):
 
     edges = split_at(nodes(a), nodes(b))
     pts, wts = (x.ravel() for x in gauss_points(edges[:-1], edges[1:], rule=2))
-    mass = csr_matrix((M_h.values, M_h.col_indices, M_h.row_offsets),
-                      shape=(M_h.n_rows, M_h.n_cols))
     total = 0.0
     for s in range(0, len(pts), chunk):
         diff = a.value(pts[s:s + chunk]) - b.value(pts[s:s + chunk])
-        total += float(wts[s:s + chunk] @ np.sum(diff * (mass @ diff.T).T,
+        total += float(wts[s:s + chunk] @ np.sum(diff * (M_h @ diff.T).T,
                                                  axis=1))
     return float(np.sqrt(max(total, 0.0)))
 

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from helpers import (GAUSS12, dense_adjoint_oracle, dense_state_oracle,
-                     densify, l2l2_distance, record)
+                     l2l2_distance, record)
 from parapt.adjoint import adjoint_stability_check, solve_adjoint
 from parapt.control import AdmissibleSet, clamp_control, control_norms
 from parapt.errors import field_error_norms, run_study
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
-from parapt.linalg import matvec
 from parapt.optimizer import discretize_problem, fixed_point_solve
 from parapt.problems import example1, example2, manufactured_smooth
 from parapt.quadrature import gauss_points
@@ -108,7 +107,7 @@ def oracle_sweep(solver):
     for n in (3, 4, 5):
         mesh = build_mesh(n)
         M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
-        Md, Kd = densify(M_h), densify(K_h)
+        Md, Kd = M_h.toarray(), K_h.toarray()
         size = len(mesh.interior)
         for M in (1, 2, 3, 4):
             grid = nonuniform_grid(0.8, M, seed=100 * n + M)
@@ -187,7 +186,7 @@ def test_criterion_3_state_supercloseness_on_fine_reference():
         r = M_ref // M
         nested = y_ref.values[:-1].reshape(M, r, -1).mean(axis=1)
         diff = y_k.values[:-1] - nested
-        sq = sum(grid.k[m] * float(diff[m] @ matvec(M_h, diff[m]))
+        sq = sum(grid.k[m] * float(diff[m] @ (M_h @ diff[m]))
                  for m in range(M))
         close_errs.append(np.sqrt(sq))
         raw_errs.append(field_error_norms(y_pairs, y_k, mesh, M_h)["L2"])
@@ -415,7 +414,7 @@ def test_criterion_9_property_sweep(rng):
         p = solve_adjoint(M_h, K_h, grid, terms=[term])
         pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
         rhs_norm = np.sqrt(float((wts * term.temporal(pts) ** 2).sum())
-                           * float(g @ matvec(M_h, g)))
+                           * float(g @ (M_h @ g)))
         a_ratios.append(adjoint_stability_check(p, rhs_norm, M_h, K_h, grid))
     if not (max(s_ratios) <= 1.0
             and max(s_ratios) / min(s_ratios) <= 1.05):
@@ -430,7 +429,7 @@ def test_criterion_9_property_sweep(rng):
         grid = uniform_grid(0.8, M)
         y = solve_state(M_h, K_h, grid, [f], np.zeros(size))
         p = solve_adjoint(M_h, K_h, grid, terms=[h])
-        Mgf, Mgh = matvec(M_h, f.spatial), matvec(M_h, h.spatial)
+        Mgf, Mgh = M_h @ f.spatial, M_h @ h.spatial
         pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
         lhs = rhs = 0.0
         for m in range(grid.M):

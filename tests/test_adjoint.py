@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_adjoint_oracle, densify
+from helpers import dense_adjoint_oracle
 from parapt.adjoint import adjoint_stability_check, solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
-from parapt.linalg import matvec
 from parapt.quadrature import gauss_points
 from parapt.state import RhsTerm, solve_state
 from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
@@ -15,7 +14,7 @@ from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
 def small_space():
     mesh = build_mesh(4)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
-    return mesh, Mh, Kh, densify(Mh), densify(Kh)
+    return mesh, Mh, Kh, Mh.toarray(), Kh.toarray()
 
 
 def test_zero_rhs_gives_zero(small_space):
@@ -27,7 +26,7 @@ def test_zero_rhs_gives_zero(small_space):
 @pytest.mark.parametrize("M", [1, 2, 4])
 def test_matches_dense_block_solve(small_space, rng, M):
     _, Mh, Kh, Md, Kd = small_space
-    n = Mh.n_rows
+    n = Mh.shape[0]
     grid = make_grid(np.concatenate([[0.0],
                                      np.cumsum(rng.uniform(0.05, 0.2, M))]))
     c = rng.normal(size=3)
@@ -42,7 +41,7 @@ def test_piecewise_constant_part_matches_dense(small_space, rng):
     """The tracking-term pathway (a whole piecewise-constant trajectory as
     right-hand side) agrees with the dense solve fed interval loads."""
     _, Mh, Kh, Md, Kd = small_space
-    n = Mh.n_rows
+    n = Mh.shape[0]
     grid = make_grid([0.0, 0.25, 0.45, 0.9, 1.0])
     vals = rng.normal(size=(grid.M + 1, n))
     pc = PiecewiseConstantField(grid, vals)
@@ -72,7 +71,7 @@ def test_reduces_to_scalar_backward_recurrence(small_space):
 
 def test_terminal_value_is_zero(small_space, rng):
     _, Mh, Kh, _, _ = small_space
-    g = rng.normal(size=Mh.n_rows)
+    g = rng.normal(size=Mh.shape[0])
     p = solve_adjoint(Mh, Kh, uniform_grid(1.0, 5),
                       terms=[RhsTerm(g, np.cos)])
     assert np.all(p.values[-1] == 0.0)
@@ -82,7 +81,7 @@ def test_depends_only_on_interval_means(small_space):
     """Replacing the right-hand side by its interval means leaves the
     solution unchanged: only the integrals over each interval enter."""
     _, Mh, Kh, _, _ = small_space
-    g = np.linspace(0.2, 1.0, Mh.n_rows)
+    g = np.linspace(0.2, 1.0, Mh.shape[0])
     theta = lambda t: np.exp(-t) * np.cos(3.0 * t)
     for M in (4, 16):
         grid = uniform_grid(1.0, M)
@@ -101,15 +100,15 @@ def test_discrete_duality_identity(small_space, rng):
     """With zero initial data, the force-against-adjoint pairing equals
     the tracking-data-against-state pairing."""
     _, Mh, Kh, _, _ = small_space
-    n = Mh.n_rows
+    n = Mh.shape[0]
     grid = make_grid([0.0, 0.2, 0.35, 0.7, 1.0])
     # polynomial factors keep every quadrature in the identity exact
     f = RhsTerm(rng.normal(size=n), lambda t: 0.3 + t ** 2 - t ** 3)
     h = RhsTerm(rng.normal(size=n), lambda t: 1.0 - 0.5 * t + t ** 2)
     y = solve_state(Mh, Kh, grid, [f], np.zeros(n))
     p = solve_adjoint(Mh, Kh, grid, terms=[h])
-    Mgf = matvec(Mh, f.spatial)
-    Mgh = matvec(Mh, h.spatial)
+    Mgf = Mh @ f.spatial
+    Mgh = Mh @ h.spatial
     pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
     lhs = rhs = 0.0
     for m in range(grid.M):
@@ -121,7 +120,7 @@ def test_discrete_duality_identity(small_space, rng):
 
 def test_stability_constant_bounded(small_space):
     _, Mh, Kh, _, _ = small_space
-    n = Mh.n_rows
+    n = Mh.shape[0]
     g = np.full(n, 0.7)
     theta = lambda t: np.cos(2.0 * t)
     term = RhsTerm(g, theta)
@@ -131,7 +130,7 @@ def test_stability_constant_bounded(small_space):
         p = solve_adjoint(Mh, Kh, grid, terms=[term])
         pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
         rhs_norm = np.sqrt(float((wts * theta(pts) ** 2).sum())
-                           * float(g @ matvec(Mh, g)))
+                           * float(g @ (Mh @ g)))
         ratios.append(adjoint_stability_check(p, rhs_norm, Mh, Kh, grid))
     ratios = np.asarray(ratios)
     assert ratios.max() <= 5.0

@@ -138,3 +138,21 @@ def test_main_alpha_override_warns(tmp_path, capsys):
                "--alpha", "0.5", "--out", str(out)])
     assert rc == 0
     assert "alpha override" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+def test_main_rejects_bad_alpha(tmp_path, capsys, alpha):
+    """alpha = 0 used to run NaN sweeps and alpha < 0 to solve a nonconvex
+    problem; both, and non-finite values, are usage errors now."""
+    out = tmp_path / "a"
+    rc = main(["--example", "1", "--levels", "4", "--nh", "9",
+               f"--alpha={alpha}", "--out", str(out)])
+    assert rc == 1
+    assert "alpha must be positive and finite" in capsys.readouterr().err
+    assert not (out / "summary.jsonl").exists()
+
+
+def test_main_rejects_bad_alpha_from_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("example=2\nlevels=4\nnh=9\nalpha=0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "c")]) == 1

@@ -6,7 +6,6 @@ from parapt.control import (INACTIVE, LOWER, UPPER, AdmissibleSet,
                             apply_B_adjoint, clamp_control, constant_control,
                             control_norms, control_to_rhs_terms)
 from parapt.fem import build_mesh, interpolate, mass_matrix
-from parapt.linalg import matvec
 from parapt.problems import example1
 from parapt.timegrid import PiecewiseLinearField, uniform_grid
 
@@ -99,11 +98,11 @@ def test_apply_B_adjoint_extracts_nodal_pairings(rng):
     Mh = mass_matrix(mesh)
     g = interpolate(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     grid = uniform_grid(1.0, 3)
-    betas = rng.normal(size=(4, Mh.n_rows))
+    betas = rng.normal(size=(4, Mh.shape[0]))
     p = PiecewiseLinearField(grid.t, betas)
     w = apply_B_adjoint(p, [g], Mh)
     assert w.shape == (1, 4)
-    expect = [float(g @ matvec(Mh, b)) for b in betas]
+    expect = [float(g @ (Mh @ b)) for b in betas]
     np.testing.assert_allclose(w[0], expect, rtol=1e-13)
 
 

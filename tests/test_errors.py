@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import parapt.errors
 from helpers import l2l2_distance
 from parapt.errors import eoc_table, field_error_norms, run_state_study, run_study
-from parapt.fem import build_mesh, mass_matrix
-from parapt.linalg import matvec
+from parapt.fem import build_mesh, l1_norm, linf_norm, mass_matrix
 from parapt.problems import example1, manufactured_smooth
+from parapt.quadrature import gauss_points
 from parapt.timegrid import (PiecewiseConstantField, PiecewiseLinearField,
+                             dual_linear_projection, graded_grid,
                              uniform_grid)
 
 
@@ -62,6 +64,56 @@ def test_field_error_norms_constant_field():
     assert norms["Linf"] == pytest.approx(c, rel=1e-14)
 
 
+def looped_field_error_norms(exact_terms, approx, mesh, M_h):
+    """The same norms, one interval and one Gauss point at a time."""
+    if isinstance(approx, PiecewiseConstantField):
+        edges = approx.grid.t
+    else:
+        edges = approx.times
+    l1 = l2sq = linf = 0.0
+    for m in range(len(edges) - 1):
+        t0, t1 = edges[m], edges[m + 1]
+        pts, wts = gauss_points(t0, t1)
+        sample = np.concatenate([[t0], pts, [t1]])
+        exact = np.zeros((len(sample), M_h.shape[0]))
+        for theta, g in exact_terms:
+            exact += np.asarray(theta(sample))[:, None] * g[None, :]
+        if isinstance(approx, PiecewiseConstantField):
+            approx_vals = np.broadcast_to(approx.values[m], exact.shape)
+        else:
+            approx_vals = approx.value(sample)
+        err = exact - approx_vals
+        for q in range(len(pts)):
+            e = err[1 + q]
+            l2sq += wts[q] * float(e @ (M_h @ e))
+            l1 += wts[q] * l1_norm(mesh, e)
+        linf = max(linf, max(linf_norm(e) for e in err))
+    return {"L1": l1, "L2": float(np.sqrt(l2sq)), "Linf": linf}
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 7 * 49 * 3, 1])
+def test_field_error_norms_match_looped_form(monkeypatch, chunk_entries):
+    """Batched norms equal the per-interval loop to 1e-12 relative, with
+    the whole grid in one chunk, three intervals per chunk (the last chunk
+    short) and one interval per chunk."""
+    if chunk_entries is not None:
+        monkeypatch.setattr(parapt.errors, "CHUNK_ENTRIES", chunk_entries)
+    mesh = build_mesh(9)
+    M_h = mass_matrix(mesh)
+    rng = np.random.default_rng(8)
+    grid = graded_grid(0.7, 13, 2)
+    g1, g2 = rng.normal(size=(2, M_h.shape[0]))
+    exact = [(lambda t: np.exp(-np.asarray(t)), g1),
+             (lambda t: np.sin(5.0 * np.asarray(t)), g2)]
+    pc = PiecewiseConstantField(grid, rng.normal(size=(grid.M + 1,
+                                                        M_h.shape[0])))
+    for approx in (pc, dual_linear_projection(pc, grid)):
+        got = field_error_norms(exact, approx, mesh, M_h)
+        want = looped_field_error_norms(exact, approx, mesh, M_h)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+
+
 @pytest.mark.parametrize("pc_M, pl_M", [(3, 6), (6, 2)])
 def test_l2l2_distance_closed_form(pc_M, pl_M):
     """theta_a(t) v against theta_b(t) v, with theta_a piecewise constant and
@@ -88,7 +140,7 @@ def test_l2l2_distance_closed_form(pc_M, pl_M):
     d0 = c[mid] - np.interp(t0, nodes, beta)
     d1 = c[mid] - np.interp(t1, nodes, beta)
     time_sq = np.sum((t1 - t0) * (d0 * d0 + d0 * d1 + d1 * d1) / 3.0)
-    want = np.sqrt(time_sq * float(v @ matvec(M_h, v)))
+    want = np.sqrt(time_sq * float(v @ (M_h @ v)))
     for got in (l2l2_distance(a, b, M_h), l2l2_distance(b, a, M_h),
                 l2l2_distance(a, b, M_h, chunk=5)):
         assert got == pytest.approx(want, rel=1e-12)

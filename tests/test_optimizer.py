@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,24 @@ def test_huge_regularization_collapses_to_zero_control():
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     g = interpolate(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     box = AdmissibleSet(np.array([-1.0]), np.array([1.0]))
-    dp = DiscreteProblem(Mh, Kh, 1e6, box, [g], np.zeros(Mh.n_rows), [], [])
+    dp = DiscreteProblem(Mh, Kh, 1e6, box, [g], np.zeros(Mh.shape[0]), [], [])
     grid = uniform_grid(1.0, 4)
     rep = fixed_point_solve(dp, grid,
                             u_init=constant_control(grid, np.zeros(1), box))
     assert rep.iterations <= 2
     assert np.abs(np.concatenate(rep.control.vals)).max() <= 1e-9
+
+
+def test_non_finite_criterion_fails_fast(coarse_setup):
+    """With alpha = 0 the clamp of -w/alpha is NaN where w vanishes, so the
+    second sweep's criterion is NaN; the solve stops there."""
+    prob, _, dp = coarse_setup
+    broken = dataclasses.replace(dp, alpha=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(FixedPointError, match="non-finite") as info:
+        fixed_point_solve(broken, uniform_grid(prob.T, 4))
+    assert info.value.report.iterations == 2
+    assert not info.value.report.converged
 
 
 def test_iteration_count_small_and_mesh_insensitive(coarse_setup):

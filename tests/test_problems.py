@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,12 @@ def test_exact_solutions_satisfy_their_equations(factory):
     condition residuals, sampled over the space-time cylinder."""
     residuals = self_test(factory())
     assert max(residuals.values()) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_problem_spec_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        dataclasses.replace(example2(), alpha=alpha)
 
 
 def test_example1_setup():

@@ -1,26 +1,31 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import cholesky_banded
 
-from helpers import dense_state_oracle, densify
+import parapt.state
+from helpers import dense_state_oracle
+from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.state import (RhsTerm, StepMatrixCache, hat_time_integrals,
                           interval_time_integrals, solve_state,
                           state_l2_stability_check)
-from parapt.timegrid import make_grid, uniform_grid
+from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
 @pytest.fixture(scope="module")
 def small_space():
     mesh = build_mesh(4)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
-    return mesh, Mh, Kh, densify(Mh), densify(Kh)
+    return mesh, Mh, Kh, Mh.toarray(), Kh.toarray()
 
 
 def test_zero_data_gives_zero_field(small_space):
     _, Mh, Kh, _, _ = small_space
     grid = uniform_grid(1.0, 3)
-    y = solve_state(Mh, Kh, grid, [], np.zeros(Mh.n_rows))
+    y = solve_state(Mh, Kh, grid, [], np.zeros(Mh.shape[0]))
     assert np.all(y.values == 0.0)
 
 
@@ -29,7 +34,7 @@ def test_matches_dense_block_solve(small_space, rng, M):
     """Sweep solution equals the one-shot solve of the full space-time
     system assembled from the bilinear form."""
     _, Mh, Kh, Md, Kd = small_space
-    n = Mh.n_rows
+    n = Mh.shape[0]
     grid = make_grid(np.concatenate([[0.0],
                                      np.cumsum(rng.uniform(0.05, 0.2, M))]))
     c = rng.normal(size=3)
@@ -93,17 +98,68 @@ def test_interval_integrals_closed_forms():
                                rtol=1e-14)
 
 
-def test_step_matrix_cache_reuse(small_space):
+@pytest.fixture
+def count_factors(monkeypatch):
+    """Count the Cholesky factorizations and the largest number of factor
+    arrays alive at once."""
+    stats = {"built": 0, "peak_live": 0}
+    refs = []
+
+    def counted(*args, **kwargs):
+        factor = cholesky_banded(*args, **kwargs)
+        stats["built"] += 1
+        refs.append(weakref.ref(factor))
+        live = sum(r() is not None for r in refs)
+        stats["peak_live"] = max(stats["peak_live"], live)
+        return factor
+
+    monkeypatch.setattr(parapt.state, "cholesky_banded", counted)
+    return stats
+
+
+def test_ulp_distinct_steps_share_one_factor(small_space, count_factors):
     _, Mh, Kh, _, _ = small_space
+    ks = uniform_grid(0.1, 160).k
+    assert len(set(map(float, ks))) > 1       # linspace differences
     cache = StepMatrixCache(Mh, Kh)
-    A1 = cache.get(0.125)
-    assert cache.get(0.125) is A1
-    assert cache.get(0.25) is not A1
+    first = cache.get(ks[0])
+    assert all(cache.get(k) is first for k in ks)
+    assert count_factors["built"] == 1
+
+
+def test_graded_sweep_holds_one_factor(count_factors):
+    mesh = build_mesh(9)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = graded_grid(1.0, 16, 2)
+    term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
+    cache = StepMatrixCache(Mh, Kh)
+    y = solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    solve_adjoint(Mh, Kh, grid, pc_part=y, cache=cache)
+    # forward k_1..k_M, backward k_M (still live) down to k_1
+    assert count_factors["built"] == 2 * grid.M - 1
+    assert count_factors["peak_live"] == 1
+
+
+def test_step_residuals_against_assembled_matrices(rng):
+    """Without load every step of the sweep is one solve with M + k/2 K
+    (and the last a mass solve); each holds to 1e-12 in relative
+    residual."""
+    mesh = build_mesh(9)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = graded_grid(0.5, 12, 1.5)
+    y0 = rng.normal(size=Mh.shape[0])
+    a = solve_state(Mh, Kh, grid, [], y0).values
+    rhs = [Mh @ y0] + [Mh @ a[m] - 0.5 * grid.k[m] * (Kh @ a[m])
+                       for m in range(grid.M)]
+    lhs = [Mh + 0.5 * k * Kh for k in grid.k] + [Mh]
+    for m in range(grid.M + 1):
+        res = np.linalg.norm(lhs[m] @ a[m] - rhs[m])
+        assert res <= 1e-12 * np.linalg.norm(rhs[m]), m
 
 
 def test_stability_ratio_bounded_in_M(small_space):
     _, Mh, Kh, _, _ = small_space
-    n = Mh.n_rows
+    n = Mh.shape[0]
     g = np.ones(n)
     y0 = np.linspace(0.3, 1.0, n)
     term = RhsTerm(g, lambda t: np.cos(3.0 * t))
