@@ -14,8 +14,9 @@ exclusively through its interval means.
 
 import numpy as np
 
-from .state import StepMatrixCache, interval_time_integrals
-from .timegrid import PiecewiseConstantField, PiecewiseLinearField
+from .fem import l2_sq_rows
+from .state import StepMatrixCache, cn_march, interval_time_integrals
+from .timegrid import PiecewiseLinearField
 
 
 def _interval_loads(M_h, grid, pc_part, terms):
@@ -38,30 +39,19 @@ def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), cache=None):
     """
     H = _interval_loads(M_h, grid, pc_part, terms)
     cache = cache or StepMatrixCache(M_h, K_h)
-    M = grid.M
-    betas = np.zeros((M + 1, M_h.shape[0]))
-    b = betas[M]
-    for m in range(M, 0, -1):
-        rhs = M_h @ b - 0.5 * grid.k[m - 1] * (K_h @ b) + H[m - 1]
-        b = cache.solve(grid.k[m - 1], rhs)
-        betas[m - 1] = b
+    betas = np.zeros((grid.M + 1, M_h.shape[0]))
+    k = grid.k[::-1]
+    cn_march(cache, betas[-1], k, k, H[::-1], betas[-2::-1])
     return PiecewiseLinearField(grid.t.copy(), betas)
 
 
 def adjoint_stability_check(p_k, rhs_norm, M_h, K_h, grid):
     """(||p_k||_{H1(L2)} + ||grad p_k(0)||) / ||h||, bounded uniformly."""
-    betas = p_k.values
-    sq_l2 = 0.0
-    sq_dt = 0.0
-    for m in range(grid.M):
-        a, b = betas[m], betas[m + 1]
-        mid = 0.5 * (a + b)
-        # Simpson is exact for the quadratic t -> ||p(t)||^2
-        sq_l2 += grid.k[m] / 6.0 * (
-            float(a @ (M_h @ a)) + 4.0 * float(mid @ (M_h @ mid))
-            + float(b @ (M_h @ b)))
-        d = (b - a) / grid.k[m]
-        sq_dt += grid.k[m] * float(d @ (M_h @ d))
+    a, b = p_k.values[:-1], p_k.values[1:]
+    # Simpson is exact for the quadratic t -> ||p(t)||^2
+    sq_l2 = grid.k / 6.0 @ (l2_sq_rows(M_h, a) + l2_sq_rows(M_h, b)
+                            + 4.0 * l2_sq_rows(M_h, 0.5 * (a + b)))
+    sq_dt = grid.k @ l2_sq_rows(M_h, (b - a) / grid.k[:, None])
     h1 = np.sqrt(sq_l2 + sq_dt)
-    grad0 = np.sqrt(max(float(betas[0] @ (K_h @ betas[0])), 0.0))
+    grad0 = np.sqrt(max(float(a[0] @ (K_h @ a[0])), 0.0))
     return (h1 + grad0) / rhs_norm

@@ -5,19 +5,21 @@ CSV per error table, an aligned markdown rendering, and a line-delimited
 summary with iteration counts and wall times.  CSV content depends only
 on the chosen flags, so repeat runs are byte-identical.
 
-Exit codes: 0 on success, 1 on usage errors (unknown problem, bad level
-list, non-positive or non-finite alpha, unwritable output directory), 2 on
-solver failures.
+Exit codes: 0 on success, 1 on usage errors (unknown problem, a level
+list that is malformed or has a level below 2 intervals, fewer than 3
+nodes per side, a negative or non-finite threshold, non-positive or
+non-finite alpha, unwritable output directory), 2 on solver failures.
 """
 
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import problems
-from .errors import run_state_study, run_study
+from .errors import TABLES, run_state_study, run_study
 
 CSV_HEADER = "level,M,k,err_L1,err_L2,err_Linf,eoc_L1,eoc_L2,eoc_Linf"
 DEFAULT_LEVELS = {
@@ -25,7 +27,6 @@ DEFAULT_LEVELS = {
     "2": "8,16,32,64,128,256",
     "manufactured": "8,16,32,64,128",
 }
-TABLE_ORDER = ("control", "state", "state_projected", "adjoint")
 PROBLEMS = {"1": problems.example1, "2": problems.example2,
             "manufactured": problems.manufactured_smooth}
 
@@ -50,7 +51,7 @@ def markdown_lines(result):
     lines = [f"# Convergence tables: {result.problem}", ""]
     lines.append(f"Spatial grid {result.n_per_side} nodes per side, "
                  f"stopping threshold {result.threshold:g}.")
-    for name in TABLE_ORDER:
+    for name in TABLES:
         if name not in result.tables:
             continue
         rows = result.tables[name]
@@ -71,7 +72,7 @@ def markdown_lines(result):
 
 def summary_lines(result):
     lines = []
-    for name in TABLE_ORDER:
+    for name in TABLES:
         if name not in result.tables:
             continue
         for i, r in enumerate(result.tables[name]):
@@ -164,14 +165,19 @@ def main(argv=None):
     levels_raw = str(pick(args.levels, "levels", DEFAULT_LEVELS[example]))
     try:
         levels = [int(tok) for tok in levels_raw.split(",") if tok.strip()]
-        if not levels or any(M < 1 for M in levels):
+        if not levels or any(M < 2 for M in levels):
             raise ValueError
     except ValueError:
         print(f"error: invalid level list {levels_raw!r}", file=sys.stderr)
         return 1
     try:
         nh = int(pick(args.nh, "nh", 65))
+        if nh < 3:
+            raise ValueError(f"nh must be at least 3, got {nh}")
         threshold = float(pick(args.threshold, "threshold", 1e-5))
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise ValueError(f"threshold must be non-negative and finite, "
+                             f"got {threshold}")
         alpha = pick(args.alpha, "alpha", None)
         spec = PROBLEMS[example]()
         if alpha is not None:
@@ -207,7 +213,7 @@ def main(argv=None):
                            verbose=True)
 
     if fmt in ("csv", "both"):
-        for name in TABLE_ORDER:
+        for name in TABLES:
             if name in result.tables:
                 path = out_dir / f"{name}.csv"
                 path.write_text("\n".join(csv_lines(result.tables[name]))
@@ -218,7 +224,7 @@ def main(argv=None):
     (out_dir / "summary.jsonl").write_text(
         "\n".join(summary_lines(result)) + "\n")
 
-    for name in TABLE_ORDER:
+    for name in TABLES:
         if name not in result.tables or not result.tables[name]:
             continue
         last = result.tables[name][-1]

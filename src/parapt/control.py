@@ -167,8 +167,7 @@ def control_to_rhs_terms(u, shapes):
         terms.append(RhsTerm(
             spatial=np.asarray(g, dtype=float),
             temporal=lambda t, br=br, va=va: np.interp(t, br, va),
-            breaks=br[1:-1],
-            kind="clamped"))
+            breaks=br[1:-1]))
     return terms
 
 

@@ -20,11 +20,11 @@ from .control import control_norms
 from .fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from .optimizer import FixedPointError, discretize_problem, fixed_point_solve
 from .quadrature import gauss_points
-from .state import RhsTerm, StepMatrixCache, solve_state
-from .timegrid import (PiecewiseConstantField, PiecewiseLinearField,
-                       dual_linear_projection, uniform_grid)
+from .state import StepMatrixCache, discretize_terms, solve_state
+from .timegrid import (PiecewiseConstantField, dual_linear_projection,
+                       uniform_grid)
 
-NORM_KEYS = ("L1", "L2", "Linf")
+TABLES = ("control", "state", "state_projected", "adjoint")
 CHUNK_ENTRIES = 2**16    # sampled coefficients per chunk of field_error_norms
 
 
@@ -115,6 +115,52 @@ def _exact_pairs(mesh, terms):
     return [(t.theta, interpolate(mesh, t.profile)) for t in terms]
 
 
+def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
+    """Set-up and level loop shared by the studies: ``solve(dp, mesh,
+    grid)`` returns (control or None, state, adjoint, sweeps) or raises
+    FixedPointError.  Every table in ``tables`` is built, even empty."""
+    if any(M < 2 for M in levels):
+        raise ValueError(f"every level needs at least 2 time intervals, "
+                         f"got {list(levels)}")
+    mesh = build_mesh(n_per_side)
+    M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
+    dp = discretize_problem(problem, mesh, M_h, K_h)
+    ex = problem.exact
+    y_pairs = _exact_pairs(mesh, ex.y)
+    p_pairs = _exact_pairs(mesh, ex.p)
+
+    entries = {key: [] for key in tables}
+    result = StudyResult(problem.name, n_per_side, threshold, list(levels))
+    for level, M in enumerate(levels, start=1):
+        grid = uniform_grid(problem.T, M)
+        tic = time.perf_counter()
+        try:
+            u, y, p, sweeps = solve(dp, mesh, grid)
+        except FixedPointError as exc:
+            result.failures[M] = str(exc)
+            result.iterations.append(exc.report.iterations)
+            result.wall_times.append(time.perf_counter() - tic)
+            continue
+        errs = {
+            "state": field_error_norms(y_pairs, y, mesh, M_h),
+            "state_projected": field_error_norms(
+                y_pairs, dual_linear_projection(y, grid), mesh, M_h),
+            "adjoint": field_error_norms(p_pairs, p, mesh, M_h),
+        }
+        if u is not None:
+            errs["control"] = control_norms((ex.u_funcs, ex.u_breaks), u,
+                                            problem.T)
+        for key in entries:
+            entries[key].append((level, M, grid.k_max, errs[key]))
+        result.iterations.append(sweeps)
+        result.wall_times.append(time.perf_counter() - tic)
+        if verbose:
+            print(f"  M={M}: " + (f"{sweeps} sweeps, " if sweeps else "")
+                  + f"{tables[0]} L2 {errs[tables[0]]['L2']:.3e}")
+    result.tables = {key: eoc_table(rows) for key, rows in entries.items()}
+    return result
+
+
 def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
               verbose=False):
     """Optimal-control convergence study over a list of interval counts.
@@ -123,45 +169,12 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
     state, post-processed state, and adjoint errors with observed orders.
     Solver failures are recorded per level and remaining levels continue.
     """
-    mesh = build_mesh(n_per_side)
-    M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
-    dp = discretize_problem(problem, mesh, M_h, K_h)
-    ex = problem.exact
-    y_pairs = _exact_pairs(mesh, ex.y)
-    p_pairs = _exact_pairs(mesh, ex.p)
-    exact_u = (ex.u_funcs, ex.u_breaks)
-
-    entries = {key: [] for key in ("control", "state", "state_projected",
-                                   "adjoint")}
-    result = StudyResult(problem.name, n_per_side, threshold, list(levels))
-    for level, M in enumerate(levels, start=1):
-        grid = uniform_grid(problem.T, M)
-        tic = time.perf_counter()
-        try:
-            report = fixed_point_solve(dp, grid, threshold=threshold,
-                                       max_iters=max_iters)
-        except FixedPointError as exc:
-            result.failures[M] = str(exc)
-            result.iterations.append(exc.report.iterations)
-            result.wall_times.append(time.perf_counter() - tic)
-            continue
-        errs = {
-            "control": control_norms(exact_u, report.control, problem.T),
-            "state": field_error_norms(y_pairs, report.state, mesh, M_h),
-            "state_projected": field_error_norms(
-                y_pairs, dual_linear_projection(report.state, grid), mesh,
-                M_h),
-            "adjoint": field_error_norms(p_pairs, report.adjoint, mesh, M_h),
-        }
-        for key in entries:
-            entries[key].append((level, M, grid.k_max, errs[key]))
-        result.iterations.append(report.iterations)
-        result.wall_times.append(time.perf_counter() - tic)
-        if verbose:
-            print(f"  M={M}: {report.iterations} sweeps, "
-                  f"control L2 {errs['control']['L2']:.3e}")
-    result.tables = {key: eoc_table(rows) for key, rows in entries.items()}
-    return result
+    def solve(dp, mesh, grid):
+        report = fixed_point_solve(dp, grid, threshold=threshold,
+                                   max_iters=max_iters)
+        return report.control, report.state, report.adjoint, report.iterations
+    return _study(problem, levels, n_per_side, threshold, TABLES, solve,
+                  verbose)
 
 
 def run_state_study(problem, levels, n_per_side=65, verbose=False):
@@ -171,37 +184,12 @@ def run_state_study(problem, levels, n_per_side=65, verbose=False):
     chosen right-hand side) per level; tabulates raw, post-processed and
     adjoint errors.  Used for manufactured problems.
     """
-    mesh = build_mesh(n_per_side)
-    M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
-    y0 = interpolate(mesh, problem.y0)
-    f_terms = [RhsTerm(interpolate(mesh, s.profile), s.theta,
-                       breaks=np.asarray(s.breaks, dtype=float), kind=s.kind)
-               for s in problem.g0]
-    h_terms = [RhsTerm(interpolate(mesh, s.profile), s.theta,
-                       breaks=np.asarray(s.breaks, dtype=float), kind=s.kind)
-               for s in problem.exact.p_rhs]
-    y_pairs = _exact_pairs(mesh, problem.exact.y)
-    p_pairs = _exact_pairs(mesh, problem.exact.p)
-
-    cache = StepMatrixCache(M_h, K_h)
-    entries = {key: [] for key in ("state", "state_projected", "adjoint")}
-    result = StudyResult(problem.name, n_per_side, 0.0, list(levels))
-    for level, M in enumerate(levels, start=1):
-        grid = uniform_grid(problem.T, M)
-        tic = time.perf_counter()
-        y_k = solve_state(M_h, K_h, grid, f_terms, y0, cache=cache)
-        p_k = solve_adjoint(M_h, K_h, grid, terms=h_terms, cache=cache)
-        errs = {
-            "state": field_error_norms(y_pairs, y_k, mesh, M_h),
-            "state_projected": field_error_norms(
-                y_pairs, dual_linear_projection(y_k, grid), mesh, M_h),
-            "adjoint": field_error_norms(p_pairs, p_k, mesh, M_h),
-        }
-        for key in entries:
-            entries[key].append((level, M, grid.k_max, errs[key]))
-        result.iterations.append(0)
-        result.wall_times.append(time.perf_counter() - tic)
-        if verbose:
-            print(f"  M={M}: state L2 {errs['state']['L2']:.3e}")
-    result.tables = {key: eoc_table(rows) for key, rows in entries.items()}
-    return result
+    def solve(dp, mesh, grid):
+        cache = StepMatrixCache(dp.M_h, dp.K_h)
+        y_k = solve_state(dp.M_h, dp.K_h, grid, dp.source_terms, dp.y0,
+                          cache=cache)
+        h_terms = discretize_terms(mesh, problem.exact.p_rhs)
+        p_k = solve_adjoint(dp.M_h, dp.K_h, grid, terms=h_terms, cache=cache)
+        return None, y_k, p_k, 0
+    return _study(problem, levels, n_per_side, 0.0, TABLES[1:], solve,
+                  verbose)

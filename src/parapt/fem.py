@@ -27,8 +27,8 @@ class StructuredTriMesh:
 def build_mesh(n_per_side):
     """Criss-cross triangulation of (0,1)^2 with n_per_side nodes per side."""
     n = n_per_side
-    if n < 2:
-        raise ValueError("need at least 2 nodes per side")
+    if n < 3:
+        raise ValueError(f"need at least 3 nodes per side, got {n}")
     h = 1.0 / (n - 1)
     xs = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
@@ -64,24 +64,6 @@ def _triangle_geometry(mesh):
     c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
     area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
     return b, c, area
-
-
-def element_stiffness(coords):
-    """Stiffness matrix of one P1 triangle given its 3x2 vertex array."""
-    x, y = coords[:, 0], coords[:, 1]
-    b = y[[1, 2, 0]] - y[[2, 0, 1]]
-    c = x[[2, 0, 1]] - x[[1, 2, 0]]
-    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-def element_mass(coords):
-    """Consistent mass matrix of one P1 triangle."""
-    x, y = coords[:, 0], coords[:, 1]
-    b = y[[1, 2, 0]] - y[[2, 0, 1]]
-    c = x[[2, 0, 1]] - x[[1, 2, 0]]
-    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
-    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
 
 def _lumped_weights(mesh):
@@ -136,6 +118,11 @@ def interpolate(mesh, f):
 
 def l2_inner(M_h, u, v):
     return float(u @ (M_h @ v))
+
+
+def l2_sq_rows(M_h, X):
+    """Squared L2 norms of the rows of X, one field per row."""
+    return np.einsum("mi,im->m", X, M_h @ X.T)
 
 
 def l2_norm(M_h, u):

@@ -9,17 +9,16 @@ maximum norm over grid nodes and components.  Because the stopping test
 compares consecutive pairings, the count never drops below two sweeps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adjoint import solve_adjoint
 from .control import (apply_B_adjoint, clamp_control, constant_control,
                       control_to_rhs_terms)
-from .fem import interpolate
-from .quadrature import gauss_points
-from .state import (RhsTerm, StepMatrixCache, interval_time_integrals,
-                    solve_state)
+from .fem import interpolate, l2_sq_rows
+from .state import (StepMatrixCache, discretize_terms, interval_time_integrals,
+                    separable_sq_norm, solve_state)
 
 
 class FixedPointError(RuntimeError):
@@ -49,23 +48,14 @@ def _tracking_misfit_sq(y_k, yd_terms, M_h, grid):
     Exact in the piecewise-constant factor, 5-point Gauss in the smooth
     target factors.
     """
-    Mg = [M_h @ t.spatial for t in yd_terms]
-    gram = np.array([[float(ti.spatial @ Mgj) for Mgj in Mg]
-                     for ti in yd_terms]) if yd_terms else np.zeros((0, 0))
-    pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
-    total = 0.0
+    Y = y_k.values[:grid.M]
+    total = separable_sq_norm(yd_terms, M_h, grid) + float(
+        grid.k @ l2_sq_rows(M_h, Y))
     if yd_terms:
-        theta = np.array([np.asarray(t.temporal(pts), dtype=float)
-                          for t in yd_terms])
-        total += float(np.einsum("ipq,jpq,ij,pq->", theta, theta, gram, wts))
+        G = np.column_stack([t.spatial for t in yd_terms])
         th_ints = np.array([interval_time_integrals(t, grid)
                             for t in yd_terms])          # (terms, M)
-    for m in range(grid.M):
-        a = y_k.values[m]
-        total += grid.k[m] * float(a @ (M_h @ a))
-        if yd_terms:
-            cross = np.array([a @ Mgj for Mgj in Mg])
-            total -= 2.0 * float(cross @ th_ints[:, m])
+        total -= 2.0 * float(np.sum(G * (M_h @ (Y.T @ th_ints.T))))
     return max(total, 0.0)
 
 
@@ -86,14 +76,8 @@ def discretize_problem(problem, mesh, M_h, K_h):
     """Interpolate all spatial profiles of a ProblemSpec once."""
     shapes = [interpolate(mesh, g) for g in problem.g]
     y0 = interpolate(mesh, problem.y0)
-    source_terms = [
-        RhsTerm(interpolate(mesh, s.profile), s.theta,
-                breaks=np.asarray(s.breaks, dtype=float), kind=s.kind)
-        for s in problem.g0]
-    yd_terms = [
-        RhsTerm(interpolate(mesh, s.profile), s.theta,
-                breaks=np.asarray(s.breaks, dtype=float), kind=s.kind)
-        for s in problem.y_d]
+    source_terms = discretize_terms(mesh, problem.g0)
+    yd_terms = discretize_terms(mesh, problem.y_d)
     return DiscreteProblem(M_h, K_h, problem.alpha, problem.uad, shapes, y0,
                            source_terms, yd_terms)
 
@@ -105,12 +89,15 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     constant lower bound.  Returns a SolveReport; raises FixedPointError
     (with the partial report attached) when max_iters sweeps do not meet
     the threshold, or at the first sweep whose criterion is not finite.
+    A negative or non-finite threshold raises ValueError.
     """
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be non-negative and finite, "
+                         f"got {threshold}")
     cache = StepMatrixCache(dp.M_h, dp.K_h)
     u = u_init if u_init is not None else constant_control(
         grid, dp.box.lower, dp.box)
-    neg_yd = [RhsTerm(-t.spatial, t.temporal, t.breaks, t.kind)
-              for t in dp.yd_terms]
+    neg_yd = [replace(t, spatial=-t.spatial) for t in dp.yd_terms]
     w_old = None
     history = []
     for sweep in range(1, max_iters + 1):

@@ -11,7 +11,7 @@ an oscillatory one) plus an unconstrained manufactured problem used for
 pure convergence studies.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,6 @@ class SeparableTerm:
     dtheta: Callable = None
     lap_profile: Callable = None
     breaks: tuple = ()
-    kind: str = "smooth"
 
 
 @dataclass
@@ -129,7 +128,7 @@ def example1():
         SeparableTerm(theta=lambda t: -np.pi**4 * E(t), profile=g1,
                       lap_profile=lap_g1),
         SeparableTerm(theta=lambda t: -u(t), profile=g1, lap_profile=lap_g1,
-                      breaks=tuple(breaks), kind="clamped"),
+                      breaks=tuple(breaks)),
     ]
     p_rhs = y_terms + [SeparableTerm(
         theta=lambda t: -(cd * E(t) + 2.0 * np.pi**2 * ET),
@@ -182,7 +181,7 @@ def example2():
             theta=lambda t: 2.0 * np.pi * (-(a / T) * s(t) + np.pi * c(t)),
             profile=g1, lap_profile=lap_g1),
         SeparableTerm(theta=lambda t: -u(t), profile=g1, lap_profile=lap_g1,
-                      breaks=tuple(breaks), kind="clamped"),
+                      breaks=tuple(breaks)),
     ]
     p_rhs = y_terms + [SeparableTerm(
         theta=lambda t: -((1.0 - 2.0 * np.pi**2) * c(t) - om * s(t)

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import cg
 
+from .fem import interpolate, l2_sq_rows
 from .quadrature import gauss_points, split_at
 from .timegrid import PiecewiseConstantField
 
@@ -33,18 +34,30 @@ class RhsTerm:
     ``spatial`` holds interior nodal coefficients of g.  ``temporal`` must
     accept numpy arrays.  ``breaks`` lists interior kink locations of
     theta (clamp crossings); integration splits there, so piecewise-smooth
-    factors are integrated essentially exactly.  ``kind`` is a label:
-    "smooth", "clamped" or "const".
+    factors are integrated essentially exactly.
     """
     spatial: np.ndarray
     temporal: Callable
     breaks: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    kind: str = "smooth"
 
 
-def constant_term(spatial, c=1.0):
-    return RhsTerm(spatial, lambda t: np.full_like(np.asarray(t, float), c),
-                   kind="const")
+def discretize_terms(mesh, terms):
+    """RhsTerms of SeparableTerms, profiles interpolated on ``mesh``."""
+    return [RhsTerm(interpolate(mesh, s.profile), s.theta,
+                    breaks=np.asarray(s.breaks, dtype=float)) for s in terms]
+
+
+def separable_sq_norm(terms, M_h, grid):
+    """Integral over (0, T) of ||sum_i theta_i(t) g_i||^2 in L2(Omega),
+    cross terms included, by 5-point Gauss per interval of ``grid``."""
+    if not terms:
+        return 0.0
+    G = np.column_stack([t.spatial for t in terms])
+    gram = G.T @ (M_h @ G)
+    pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
+    theta = np.array([np.asarray(t.temporal(pts), dtype=float)
+                      for t in terms])
+    return float(np.einsum("ipq,jpq,ij,pq->", theta, theta, gram, wts))
 
 
 def _pieces(grid, breaks):
@@ -138,40 +151,34 @@ def _mass_solve(M_h, rhs, x0):
     return x
 
 
+def cn_march(cache, x, k_explicit, k_implicit, loads, out):
+    """Crank-Nicolson march: out[i] = x <- (M + k_i/2 K)^-1 ((M - k'_i/2 K)
+    x + l_i) for each load l_i, with k'_i = k_explicit[i] and k_i =
+    k_implicit[i]; the StepMatrixCache ``cache`` supplies M, K and the
+    factors.  Writing into the caller's field avoids a copy of it."""
+    M_h, K_h = cache.M_h, cache.K_h
+    for i, load in enumerate(loads):
+        rhs = M_h @ x - 0.5 * k_explicit[i] * (K_h @ x) + load
+        x = out[i] = cache.solve(k_implicit[i], rhs)
+
+
 def solve_state(M_h, K_h, grid, terms, y0, cache=None):
     """March the damped scheme forward; returns the interval-value field."""
-    y0 = np.asarray(y0, dtype=float)
     F = _load_vectors(M_h, terms, grid)
     cache = cache or StepMatrixCache(M_h, K_h)
-    M = grid.M
-    alphas = np.zeros((M + 1, M_h.shape[0]))
-
-    a = cache.solve(grid.k[0], M_h @ y0 + F[0])
-    alphas[0] = a
-    for m in range(1, M):
-        rhs = M_h @ a - 0.5 * grid.k[m - 1] * (K_h @ a) + F[m]
-        a = cache.solve(grid.k[m], rhs)
-        alphas[m] = a
-    rhs = M_h @ a - 0.5 * grid.k[M - 1] * (K_h @ a) + F[M]
-    alphas[M] = _mass_solve(M_h, rhs, x0=a)
+    k = grid.k
+    alphas = np.empty_like(F)
+    cn_march(cache, np.asarray(y0, dtype=float),
+             np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
+    a = alphas[-2]
+    rhs = M_h @ a - 0.5 * k[-1] * (K_h @ a) + F[-1]
+    alphas[-1] = _mass_solve(M_h, rhs, x0=a)
     return PiecewiseConstantField(grid, alphas)
 
 
 def state_l2_stability_check(y_k, terms, y0, M_h, grid):
     """Ratio ||y_k|| / (||f|| + ||y0||) in L2(L2); bounded uniformly in k."""
-    num = np.sqrt(sum(
-        grid.k[m] * float(y_k.values[m] @ (M_h @ y_k.values[m]))
-        for m in range(grid.M)))
-    Mg = [M_h @ term.spatial for term in terms]
-    gram = np.array([[float(term.spatial @ Mgj) for Mgj in Mg]
-                     for term in terms])
-    pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
-    sq = 0.0
-    if terms:
-        theta = np.array([np.asarray(t.temporal(pts), dtype=float)
-                          for t in terms])
-        # integral of sum_ij theta_i theta_j (g_i, g_j), cross terms included
-        sq = float(np.einsum("ipq,jpq,ij,pq->", theta, theta, gram, wts))
-    f_norm = np.sqrt(max(sq, 0.0))
+    num = np.sqrt(float(grid.k @ l2_sq_rows(M_h, y_k.values[:grid.M])))
+    f_norm = np.sqrt(max(separable_sq_norm(terms, M_h, grid), 0.0))
     y0_norm = np.sqrt(max(float(np.asarray(y0) @ (M_h @ y0)), 0.0))
     return num / (f_norm + y0_norm)

@@ -24,6 +24,24 @@ def record(number, ok, detail, informational=False):
     ACCEPTANCE_LINES.append((number, f"[{tag}] criterion {number}: {detail}"))
 
 
+def element_stiffness(coords):
+    """Stiffness matrix of one P1 triangle given its 3x2 vertex array."""
+    x, y = coords[:, 0], coords[:, 1]
+    b = y[[1, 2, 0]] - y[[2, 0, 1]]
+    c = x[[2, 0, 1]] - x[[1, 2, 0]]
+    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
+    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+
+
+def element_mass(coords):
+    """Consistent mass matrix of one P1 triangle."""
+    x, y = coords[:, 0], coords[:, 1]
+    b = y[[1, 2, 0]] - y[[2, 0, 1]]
+    c = x[[2, 0, 1]] - x[[1, 2, 0]]
+    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
+    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
+
+
 def l2l2_distance(a, b, M_h, chunk=256):
     """L2(0,T; L2(Omega)) distance of two discrete fields.
 

@@ -19,7 +19,8 @@ from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import discretize_problem, fixed_point_solve
 from parapt.problems import example1, example2, manufactured_smooth
 from parapt.quadrature import gauss_points
-from parapt.state import RhsTerm, solve_state, state_l2_stability_check
+from parapt.state import (RhsTerm, discretize_terms, solve_state,
+                          state_l2_stability_check)
 from parapt.timegrid import (PiecewiseConstantField, dual_linear_projection,
                              make_grid, uniform_grid)
 
@@ -170,9 +171,7 @@ def test_criterion_3_state_supercloseness_on_fine_reference():
     mesh = build_mesh(65)
     M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
     y0 = interpolate(mesh, prob.y0)
-    terms = [RhsTerm(interpolate(mesh, s.profile), s.theta,
-                     breaks=np.asarray(s.breaks, dtype=float), kind=s.kind)
-             for s in prob.g0]
+    terms = discretize_terms(mesh, prob.g0)
     y_pairs = [(s.theta, interpolate(mesh, s.profile)) for s in prob.exact.y]
 
     M_ref = 2048
@@ -228,7 +227,7 @@ def test_criterion_4_adjoint_sees_only_interval_means():
 
         p_smooth = solve_adjoint(M_h, K_h, grid, terms=[RhsTerm(g, theta)])
         p_step = solve_adjoint(M_h, K_h, grid, terms=[
-            RhsTerm(g, step, breaks=grid.t[1:-1], kind="kinked")])
+            RhsTerm(g, step, breaks=grid.t[1:-1])])
         scale = float(np.max(np.abs(p_smooth.values)))
         worst = max(worst, float(np.max(np.abs(
             p_smooth.values - p_step.values))) / scale)

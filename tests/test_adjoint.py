@@ -90,8 +90,7 @@ def test_depends_only_on_interval_means(small_space):
         step = lambda t, m=means, gr=grid: m[gr.interval_index(t)]
         p_smooth = solve_adjoint(Mh, Kh, grid, terms=[RhsTerm(g, theta)])
         p_means = solve_adjoint(Mh, Kh, grid,
-                                terms=[RhsTerm(g, step, breaks=grid.t[1:-1],
-                                               kind="kinked")])
+                                terms=[RhsTerm(g, step, breaks=grid.t[1:-1])])
         scale = np.abs(p_smooth.values).max()
         assert np.abs(p_smooth.values - p_means.values).max() <= 1e-11 * scale
 
@@ -135,3 +134,22 @@ def test_stability_constant_bounded(small_space):
     ratios = np.asarray(ratios)
     assert ratios.max() <= 5.0
     assert ratios.max() / ratios.min() <= 1.1
+
+
+def test_stability_check_against_pointwise_quadrature(small_space, rng):
+    """The row-wise check against sampling ||p(t)||^2 at Gauss points (two
+    per interval integrate the quadratic exactly) plus the difference
+    quotients, on a non-uniform grid."""
+    _, Mh, Kh, Md, Kd = small_space
+    grid = make_grid([0.0, 0.1, 0.35, 0.4, 1.0])
+    p = solve_adjoint(Mh, Kh, grid, terms=[
+        RhsTerm(rng.normal(size=Mh.shape[0]), np.cos)])
+    pts, wts = gauss_points(grid.t[:-1], grid.t[1:], rule=2)
+    vals = p.value(pts)                               # (M, 2, n)
+    sq_l2 = float(np.einsum("mq,mqi,ij,mqj->", wts, vals, Md, vals))
+    d = np.diff(p.values, axis=0) / grid.k[:, None]
+    sq_dt = float(grid.k @ np.einsum("mi,ij,mj->m", d, Md, d))
+    want = (np.sqrt(sq_l2 + sq_dt)
+            + np.sqrt(p.values[0] @ Kd @ p.values[0])) / 2.0
+    got = adjoint_stability_check(p, 2.0, Mh, Kh, grid)
+    assert got == pytest.approx(want, rel=1e-12)

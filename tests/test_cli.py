@@ -115,6 +115,9 @@ def test_main_reports_solver_failure(tmp_path):
     assert rc == 2
     last = (out / "summary.jsonl").read_text().splitlines()[-1]
     assert "failure" in json.loads(last)
+    # a study whose every level fails still writes every table, empty
+    for name in ("control", "state", "state_projected", "adjoint"):
+        assert (out / f"{name}.csv").read_text() == CSV_HEADER + "\n"
 
 
 def test_main_selftest(capsys):
@@ -156,3 +159,23 @@ def test_main_rejects_bad_alpha_from_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("example=2\nlevels=4\nnh=9\nalpha=0\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nh", "2"], "nh must be at least 3"),
+    (["--levels", "4,1"], "invalid level list"),
+    (["--threshold", "-1"], "threshold must be non-negative and finite"),
+    (["--threshold", "nan"], "threshold must be non-negative and finite"),
+    (["--threshold", "inf"], "threshold must be non-negative and finite"),
+])
+def test_main_rejects_bad_study_input(tmp_path, capsys, flags, message):
+    """--nh 2 used to report all-zero errors as success, --levels 1 to end
+    in a traceback, and a negative or NaN threshold to burn 100 sweeps
+    per level."""
+    out = tmp_path / "b"
+    rc = main(["--example", "1", "--levels", "4", "--nh", "9",
+               "--out", str(out)] + flags)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.jsonl").exists()
+

@@ -163,4 +163,12 @@ def test_run_study_records_solver_failures():
     res = run_study(example1(), [4], n_per_side=9, max_iters=1)
     assert not res.ok
     assert list(res.failures) == [4] and res.iterations == [1]
+    assert set(res.tables) == {"control", "state", "state_projected",
+                               "adjoint"}
     assert all(len(rows) == 0 for rows in res.tables.values())
+
+
+@pytest.mark.parametrize("study", [run_study, run_state_study])
+def test_studies_reject_levels_below_two(study):
+    with pytest.raises(ValueError, match="at least 2 time intervals"):
+        study(manufactured_smooth(), [4, 1], n_per_side=9)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from parapt.fem import (build_mesh, element_mass, element_stiffness,
-                        interpolate, l1_norm, l2_inner, l2_norm, linf_norm,
-                        mass_matrix, stiffness_matrix)
+from helpers import element_mass, element_stiffness
+from parapt.fem import (build_mesh, interpolate, l1_norm, l2_inner, l2_norm,
+                        linf_norm, mass_matrix, stiffness_matrix)
 
 
 def g1(x, y):
@@ -17,6 +17,11 @@ def test_mesh_counts(n):
     assert mesh.triangles.shape == (2 * (n - 1) ** 2, 3)
     assert mesh.interior.size == (n - 2) ** 2
     assert mesh.h == pytest.approx(1.0 / (n - 1))
+
+
+def test_mesh_needs_three_nodes_per_side():
+    with pytest.raises(ValueError, match="at least 3"):
+        build_mesh(2)
 
 
 def test_triangles_positively_oriented():

@@ -7,10 +7,12 @@ from parapt.control import (AdmissibleSet, apply_B_adjoint, clamp_control,
                             constant_control)
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import (DiscreteProblem, FixedPointError,
-                              discretize_problem, fixed_point_solve)
+                              _tracking_misfit_sq, discretize_problem,
+                              fixed_point_solve)
 from parapt.problems import example1
 from parapt.quadrature import gauss_points, split_at
-from parapt.timegrid import uniform_grid
+from parapt.state import RhsTerm
+from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,33 @@ def test_non_finite_criterion_fails_fast(coarse_setup):
         fixed_point_solve(broken, uniform_grid(prob.T, 4))
     assert info.value.report.iterations == 2
     assert not info.value.report.converged
+
+
+@pytest.mark.parametrize("threshold", [-1.0, np.nan, np.inf])
+def test_rejects_bad_threshold(coarse_setup, threshold):
+    prob, _, dp = coarse_setup
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        fixed_point_solve(dp, uniform_grid(prob.T, 4), threshold=threshold)
+
+
+def test_tracking_misfit_against_pointwise_quadrature(coarse_setup, rng):
+    """The batched misfit against sampling ||y_k(t) - y_d(t)||^2 at 10
+    Gauss points per interval, with a second target term so that the
+    cross terms between target terms count."""
+    prob, _, dp = coarse_setup
+    grid = make_grid([0.0, 0.01, 0.05, 0.06, 0.1])
+    n = dp.M_h.shape[0]
+    y_k = PiecewiseConstantField(grid, rng.normal(size=(grid.M + 1, n)))
+    yd = dp.yd_terms + [RhsTerm(rng.normal(size=n), lambda t: np.sin(9 * t))]
+    pts, wts = gauss_points(grid.t[:-1], grid.t[1:], rule=10)
+    want = 0.0
+    for m in range(grid.M):
+        for t, w in zip(pts[m], wts[m]):
+            d = y_k.values[m] - sum(term.temporal(t) * term.spatial
+                                    for term in yd)
+            want += w * float(d @ (dp.M_h @ d))
+    got = _tracking_misfit_sq(y_k, yd, dp.M_h, grid)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_iteration_count_small_and_mesh_insensitive(coarse_setup):

@@ -69,8 +69,7 @@ def test_hat_integrals_of_clamped_ramp():
     # is 1/2 - 37/192 = 59/192
     grid = uniform_grid(1.0, 1)
     ramp = lambda t: np.clip(t, 0.25, 0.75)
-    term = RhsTerm(np.array([1.0]), ramp, breaks=np.array([0.25, 0.75]),
-                   kind="kinked")
+    term = RhsTerm(np.array([1.0]), ramp, breaks=np.array([0.25, 0.75]))
     vals = hat_time_integrals(term, grid)
     assert vals[0] == pytest.approx(37.0 / 192.0, rel=1e-14)
     assert vals[1] == pytest.approx(59.0 / 192.0, rel=1e-14)
