@@ -13,8 +13,7 @@ from .control import (AdmissibleSet, ClampedLinearControl, apply_B_adjoint,
                       control_to_rhs_terms)
 from .errors import (ConvergenceRow, StudyResult, eoc_table,
                      field_error_norms, run_state_study, run_study)
-from .fem import (StructuredTriMesh, build_mesh, interpolate, l1_norm,
-                  l2_inner, l2_norm, linf_norm, mass_matrix,
+from .fem import (StructuredTriMesh, build_mesh, interpolate, mass_matrix,
                   stiffness_matrix)
 from .optimizer import (DiscreteProblem, FixedPointError, SolveReport,
                         discretize_problem, fixed_point_solve)
@@ -25,7 +24,6 @@ from .state import (RhsTerm, StepMatrixCache, hat_time_integrals,
                     state_l2_stability_check)
 from .timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                        TimeGrid, dual_linear_projection, graded_grid,
-                       interval_mean_projection, midpoint_interpolation,
                        make_grid, uniform_grid)
 
 __version__ = "0.1.0"

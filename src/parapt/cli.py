@@ -6,9 +6,10 @@ summary with iteration counts and wall times.  CSV content depends only
 on the chosen flags, so repeat runs are byte-identical.
 
 Exit codes: 0 on success, 1 on usage errors (unknown problem, a level
-list that is malformed or has a level below 2 intervals, fewer than 3
-nodes per side, a negative or non-finite threshold, non-positive or
-non-finite alpha, unwritable output directory), 2 on solver failures.
+list that is malformed, has a level below 2 intervals or does not
+increase strictly, fewer than 3 nodes per side, a negative or non-finite
+threshold, non-positive or non-finite alpha, unwritable output
+directory), 2 on solver failures.
 """
 
 import argparse
@@ -165,7 +166,8 @@ def main(argv=None):
     levels_raw = str(pick(args.levels, "levels", DEFAULT_LEVELS[example]))
     try:
         levels = [int(tok) for tok in levels_raw.split(",") if tok.strip()]
-        if not levels or any(M < 2 for M in levels):
+        if not levels or any(M < 2 for M in levels) or any(
+                a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError
     except ValueError:
         print(f"error: invalid level list {levels_raw!r}", file=sys.stderr)

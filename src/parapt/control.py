@@ -64,9 +64,6 @@ class ClampedLinearControl:
     def value(self, i, t):
         return np.interp(t, self.breaks[i], self.vals[i])
 
-    def total_variation(self, i):
-        return float(np.sum(np.abs(np.diff(self.vals[i]))))
-
     def squared_l2(self):
         """Exact integral of sum_i u_i(t)^2 (Simpson per linear piece)."""
         total = 0.0
@@ -89,55 +86,38 @@ def clamp_control(times, nodal_values, box):
     nodal_values = np.atleast_2d(np.asarray(nodal_values, dtype=float))
     T = times[-1]
     tol_t = 1e-13 * T
+    t0, t1, k = times[:-1], times[1:], np.diff(times)
     breaks, vals, tags = [], [], []
-    for i in range(nodal_values.shape[0]):
+    for i, v in enumerate(nodal_values):
         lo, hi = box.lower[i], box.upper[i]
-        v = nodal_values[i]
+        v0, dv = v[:-1], np.diff(v)
         scale = max(np.max(np.abs(v)), abs(lo), abs(hi), 1.0)
-        pts = [times[0]]
-        pvals = [min(max(v[0], lo), hi)]
-        ptags = []
-        for m in range(len(times) - 1):
-            t0, t1 = times[m], times[m + 1]
-            v0, v1 = v[m], v[m + 1]
-            cross = []
-            if abs(v1 - v0) > 1e-14 * scale:
-                for c in (lo, hi):
-                    s = t0 + (c - v0) * (t1 - t0) / (v1 - v0)
-                    if t0 + tol_t < s < t1 - tol_t:
-                        cross.append(s)
-            cross.sort()
-            if len(cross) == 2 and cross[1] - cross[0] <= tol_t:
-                cross = cross[:1]
-            edges = np.concatenate([[t0], cross, [t1]])
-            for j in range(len(edges) - 1):
-                sa, sb = edges[j], edges[j + 1]
-                smid = 0.5 * (sa + sb)
-                vmid = v0 + (smid - t0) * (v1 - v0) / (t1 - t0)
-                vb = v0 + (sb - t0) * (v1 - v0) / (t1 - t0)
-                if vmid >= hi:
-                    ptags.append(UPPER)
-                    end = hi
-                elif vmid <= lo:
-                    ptags.append(LOWER)
-                    end = lo
-                else:
-                    ptags.append(INACTIVE)
-                    end = min(max(vb, lo), hi)
-                pts.append(sb)
-                pvals.append(end)
-        # active pieces pin their endpoints to the bound exactly
-        br = np.asarray(pts)
-        va = np.asarray(pvals)
-        tg = np.asarray(ptags, dtype=np.int8)
-        for j, tag in enumerate(tg):
-            if tag == UPPER:
-                va[j], va[j + 1] = hi, hi
-            elif tag == LOWER:
-                va[j], va[j + 1] = lo, lo
+        sloped = np.abs(dv) > 1e-14 * scale
+        # rows: crossing with lo, with hi; a piece missing one holds t1
+        s = t0 + (np.array([[lo], [hi]]) - v0) * k / np.where(sloped, dv, 1.0)
+        hit = sloped & (t0 + tol_t < s) & (s < t1 - tol_t)
+        s = np.where(hit, s, t1)
+        first, second = s.min(axis=0), s.max(axis=0)
+        # a double crossing within 1e-13*T counts once
+        double = hit.all(axis=0) & (second - first > tol_t)
+        keep = np.column_stack([hit.any(axis=0), double, np.ones_like(double)])
+        br = np.concatenate([times[:1],
+                             np.column_stack([first, second, t1])[keep]])
+        m = np.nonzero(keep)[0]         # parent piece of each sub-piece
+        sa, sb = br[:-1], br[1:]
+        vmid = v0[m] + (0.5 * (sa + sb) - t0[m]) * dv[m] / k[m]
+        vb = v0[m] + (sb - t0[m]) * dv[m] / k[m]
+        up, down = vmid >= hi, vmid <= lo
+        active, pin = up | down, np.where(up, hi, lo)
+        va = np.concatenate([[min(max(v[0], lo), hi)], np.where(
+            active, pin, np.minimum(np.maximum(vb, lo), hi))])
+        # active pieces pin both endpoints to the bound exactly; a piece's
+        # left pin wins over its predecessor's right pin
+        va[:-1][active] = pin[active]
         breaks.append(br)
         vals.append(np.clip(va, lo, hi))
-        tags.append(tg)
+        tags.append(np.where(up, UPPER, np.where(down, LOWER, INACTIVE))
+                    .astype(np.int8))
     return ClampedLinearControl(T, breaks, vals, tags)
 
 

@@ -119,9 +119,10 @@ def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
     """Set-up and level loop shared by the studies: ``solve(dp, mesh,
     grid)`` returns (control or None, state, adjoint, sweeps) or raises
     FixedPointError.  Every table in ``tables`` is built, even empty."""
-    if any(M < 2 for M in levels):
-        raise ValueError(f"every level needs at least 2 time intervals, "
-                         f"got {list(levels)}")
+    if any(M < 2 for M in levels) or any(
+            a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels need at least 2 time intervals each and "
+                         f"must increase strictly, got {list(levels)}")
     mesh = build_mesh(n_per_side)
     M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
     dp = discretize_problem(problem, mesh, M_h, K_h)

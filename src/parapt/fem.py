@@ -116,24 +116,6 @@ def interpolate(mesh, f):
     return vals
 
 
-def l2_inner(M_h, u, v):
-    return float(u @ (M_h @ v))
-
-
 def l2_sq_rows(M_h, X):
     """Squared L2 norms of the rows of X, one field per row."""
     return np.einsum("mi,im->m", X, M_h @ X.T)
-
-
-def l2_norm(M_h, u):
-    return float(np.sqrt(max(l2_inner(M_h, u, u), 0.0)))
-
-
-def linf_norm(u):
-    u = np.asarray(u)
-    return float(np.max(np.abs(u))) if u.size else 0.0
-
-
-def l1_norm(mesh, u):
-    """Lumped vertex-quadrature L1 norm (boundary values are zero)."""
-    return float(mesh.lumped_weights @ np.abs(u))

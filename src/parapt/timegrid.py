@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_points
-
 
 @dataclass
 class TimeGrid:
@@ -23,8 +21,6 @@ class TimeGrid:
     midpoints: np.ndarray    # interval midpoints t*_m, length M
     dual_nodes: np.ndarray   # 0, t*_1 .. t*_M, T  (length M+2)
     k_max: float
-    ratio_min: float         # min/max of k_m / k_{m+1}; both 1 for M = 1
-    ratio_max: float
 
     @property
     def M(self):
@@ -48,12 +44,7 @@ def make_grid(t):
         raise ValueError("time nodes must start at 0 and increase strictly")
     mid = 0.5 * (t[:-1] + t[1:])
     dual = np.concatenate([[0.0], mid, [t[-1]]])
-    if len(k) > 1:
-        ratios = k[:-1] / k[1:]
-        rmin, rmax = float(ratios.min()), float(ratios.max())
-    else:
-        rmin = rmax = 1.0
-    return TimeGrid(float(t[-1]), t, k, mid, dual, float(k.max()), rmin, rmax)
+    return TimeGrid(float(t[-1]), t, k, mid, dual, float(k.max()))
 
 
 def uniform_grid(T, M):
@@ -115,25 +106,6 @@ class PiecewiseLinearField:
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
 
 
-def interval_mean_projection(v, grid):
-    """Project onto interval means (5-point Gauss); terminal slot is zero."""
-    pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
-    samples = np.asarray([np.asarray(v(t), dtype=float) for t in pts.ravel()])
-    samples = samples.reshape(pts.shape + samples.shape[1:])
-    w = wts.reshape(wts.shape + (1,) * (samples.ndim - 2))
-    means = (w * samples).sum(axis=1) / grid.k.reshape(
-        (-1,) + (1,) * (samples.ndim - 2))
-    terminal = np.zeros_like(means[0])
-    return PiecewiseConstantField(grid, np.concatenate([means, [terminal]]))
-
-
-def midpoint_interpolation(v, grid):
-    """Interpolate at interval midpoints; terminal slot carries v(T)."""
-    vals = [np.asarray(v(t), dtype=float) for t in grid.midpoints]
-    vals.append(np.asarray(v(grid.T), dtype=float))
-    return PiecewiseConstantField(grid, np.asarray(vals))
-
-
 def dual_linear_projection(w, grid):
     """Second-order post-processing of a piecewise-constant field.
 
@@ -143,11 +115,7 @@ def dual_linear_projection(w, grid):
     """
     if grid.M < 2:
         raise ValueError("dual interpolation needs at least two intervals")
-    if isinstance(w, PiecewiseConstantField):
-        mids = w.values[:-1]
-    else:
-        mids = np.asarray([np.asarray(w(t), dtype=float)
-                           for t in grid.midpoints])
+    mids = w.values[:-1]
     ts = grid.midpoints
     left = mids[0] + (0.0 - ts[0]) / (ts[1] - ts[0]) * (mids[1] - mids[0])
     right = (mids[-2] + (grid.T - ts[-2]) / (ts[-1] - ts[-2])

@@ -42,6 +42,31 @@ def element_mass(coords):
     return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
 
+def l1_norm(mesh, u):
+    """Lumped vertex-quadrature L1 norm (boundary values are zero)."""
+    return float(mesh.lumped_weights @ np.abs(u))
+
+
+def linf_norm(u):
+    return float(np.max(np.abs(u)))
+
+
+def total_variation(values):
+    return float(np.sum(np.abs(np.diff(values))))
+
+
+def interval_mean_projection(v, grid):
+    """Project onto interval means (5-point Gauss); terminal slot is zero."""
+    pts, wts = gauss_points(grid.t[:-1], grid.t[1:])
+    samples = np.asarray([np.asarray(v(t), dtype=float) for t in pts.ravel()])
+    samples = samples.reshape(pts.shape + samples.shape[1:])
+    w = wts.reshape(wts.shape + (1,) * (samples.ndim - 2))
+    means = (w * samples).sum(axis=1) / grid.k.reshape(
+        (-1,) + (1,) * (samples.ndim - 2))
+    terminal = np.zeros_like(means[0])
+    return PiecewiseConstantField(grid, np.concatenate([means, [terminal]]))
+
+
 def l2l2_distance(a, b, M_h, chunk=256):
     """L2(0,T; L2(Omega)) distance of two discrete fields.
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (GAUSS12, dense_adjoint_oracle, dense_state_oracle,
-                     l2l2_distance, record)
+                     l2l2_distance, record, total_variation)
 from parapt.adjoint import adjoint_stability_check, solve_adjoint
 from parapt.control import AdmissibleSet, clamp_control, control_norms
 from parapt.errors import field_error_norms, run_study
@@ -382,7 +382,7 @@ def test_criterion_9_property_sweep(rng):
                                 u.value(0, samples), atol=1e-13)
                 and u.vals[0].min() >= box.lower[0] - 1e-14
                 and u.vals[0].max() <= box.upper[0] + 1e-14
-                and abs(u.total_variation(0) - tv) <= 1e-12):
+                and abs(total_variation(u.vals[0]) - tv) <= 1e-12):
             bad.append("clamp")
 
     grid = uniform_grid(1.0, 9)

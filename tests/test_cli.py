@@ -167,11 +167,14 @@ def test_main_rejects_bad_alpha_from_config(tmp_path):
     (["--threshold", "-1"], "threshold must be non-negative and finite"),
     (["--threshold", "nan"], "threshold must be non-negative and finite"),
     (["--threshold", "inf"], "threshold must be non-negative and finite"),
+    (["--levels", "8,8"], "invalid level list"),
+    (["--levels", "16,8"], "invalid level list"),
 ])
 def test_main_rejects_bad_study_input(tmp_path, capsys, flags, message):
     """--nh 2 used to report all-zero errors as success, --levels 1 to end
-    in a traceback, and a negative or NaN threshold to burn 100 sweeps
-    per level."""
+    in a traceback, a negative or NaN threshold to burn 100 sweeps per
+    level, and a repeated or decreasing level list to exit 0 with
+    duplicate rows or orders taken from coarsening."""
     out = tmp_path / "b"
     rc = main(["--example", "1", "--levels", "4", "--nh", "9",
                "--out", str(out)] + flags)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import parapt.errors
-from helpers import l2l2_distance
+from helpers import l1_norm, l2l2_distance, linf_norm
 from parapt.errors import eoc_table, field_error_norms, run_state_study, run_study
-from parapt.fem import build_mesh, l1_norm, linf_norm, mass_matrix
+from parapt.fem import build_mesh, mass_matrix
 from parapt.problems import example1, manufactured_smooth
 from parapt.quadrature import gauss_points
 from parapt.timegrid import (PiecewiseConstantField, PiecewiseLinearField,
@@ -172,3 +172,7 @@ def test_run_study_records_solver_failures():
 def test_studies_reject_levels_below_two(study):
     with pytest.raises(ValueError, match="at least 2 time intervals"):
         study(manufactured_smooth(), [4, 1], n_per_side=9)
+    # failures are keyed by M, so levels must not repeat either
+    for levels in ([8, 8], [16, 8]):
+        with pytest.raises(ValueError, match="must increase strictly"):
+            study(manufactured_smooth(), levels, n_per_side=9)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import interval_mean_projection
 from parapt.timegrid import (PiecewiseConstantField, PiecewiseLinearField,
-                             dual_linear_projection, graded_grid,
-                             interval_mean_projection, make_grid,
-                             midpoint_interpolation, uniform_grid)
+                             dual_linear_projection, graded_grid, make_grid,
+                             uniform_grid)
 
 
 def test_uniform_grid_layout():
@@ -15,8 +15,6 @@ def test_uniform_grid_layout():
     np.testing.assert_allclose(grid.midpoints, [0.0125, 0.0375, 0.0625, 0.0875])
     np.testing.assert_allclose(grid.dual_nodes,
                                [0.0, 0.0125, 0.0375, 0.0625, 0.0875, 0.1])
-    assert grid.ratio_min == pytest.approx(1.0)
-    assert grid.ratio_max == pytest.approx(1.0)
 
 
 def test_make_grid_nonuniform_and_interval_lookup():
@@ -33,9 +31,6 @@ def test_graded_grid_follows_power_law():
     grid = graded_grid(T, M, gamma)
     np.testing.assert_allclose(grid.t, T * (np.arange(M + 1) / M) ** gamma)
     assert np.all(np.diff(grid.k) > 0)
-    # k_m / k_{m+1} is smallest at the first pair: 1 / (2^g - 1)
-    assert grid.ratio_min == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert grid.ratio_max == pytest.approx(13.0 / 15.0, rel=1e-12)
 
 
 def test_piecewise_constant_field_lookup():
@@ -57,13 +52,6 @@ def test_interval_means_exact_for_quadratics():
     proj = interval_mean_projection(lambda t: t ** 2, grid)
     expect = [(0.3 ** 3) / (3 * 0.3), (1.0 - 0.3 ** 3) / (3 * 0.7), 0.0]
     np.testing.assert_allclose(proj.values, expect, rtol=1e-13, atol=1e-16)
-
-
-def test_midpoint_interpolation_values():
-    grid = uniform_grid(1.0, 4)
-    proj = midpoint_interpolation(np.sin, grid)
-    np.testing.assert_allclose(proj.values[:-1], np.sin(grid.midpoints))
-    assert proj.values[-1] == pytest.approx(np.sin(1.0))
 
 
 def test_dual_projection_reproduces_linears():
