@@ -19,8 +19,8 @@ from .optimizer import (DiscreteProblem, FixedPointError, SolveReport,
                         discretize_problem, fixed_point_solve)
 from .problems import (ProblemSpec, SeparableTerm, example1, example2,
                        manufactured_smooth, self_test)
-from .state import (RhsTerm, StepMatrixCache, hat_time_integrals,
-                    interval_time_integrals, solve_state,
+from .state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
+                    hat_time_integrals, interval_time_integrals, solve_state,
                     state_l2_stability_check)
 from .timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                        TimeGrid, dual_linear_projection, graded_grid,

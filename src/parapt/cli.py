@@ -76,12 +76,13 @@ def summary_lines(result):
     for name in TABLES:
         if name not in result.tables:
             continue
-        for i, r in enumerate(result.tables[name]):
+        for r in result.tables[name]:
             rec = {"problem": result.problem, "table": name,
                    "level": r.level, "M": r.M, "k": r.k}
             for key in ("L1", "L2", "Linf"):
                 rec[f"err_{key}"] = r.err[key]
                 rec[f"eoc_{key}"] = r.eoc[key]
+            i = r.level - 1      # per-level lists include failed levels
             rec["iterations"] = result.iterations[i] \
                 if i < len(result.iterations) else None
             rec["wall_time_s"] = result.wall_times[i] \

@@ -20,7 +20,8 @@ from .control import control_norms
 from .fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from .optimizer import FixedPointError, discretize_problem, fixed_point_solve
 from .quadrature import gauss_points
-from .state import StepMatrixCache, discretize_terms, solve_state
+from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
+                    solve_state)
 from .timegrid import (PiecewiseConstantField, dual_linear_projection,
                        uniform_grid)
 
@@ -117,8 +118,11 @@ def _exact_pairs(mesh, terms):
 
 def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
     """Set-up and level loop shared by the studies: ``solve(dp, mesh,
-    grid)`` returns (control or None, state, adjoint, sweeps) or raises
-    FixedPointError.  Every table in ``tables`` is built, even empty."""
+    grid)`` returns (control or None, state, adjoint, sweeps).  A level
+    whose solve raises FixedPointError, NonFiniteSweepError or LinAlgError
+    is recorded in ``failures`` (sweeps None unless the error carries a
+    report) and the next level runs.  Every table in ``tables`` is built,
+    even empty."""
     if any(M < 2 for M in levels) or any(
             a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels need at least 2 time intervals each and "
@@ -137,9 +141,11 @@ def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
         tic = time.perf_counter()
         try:
             u, y, p, sweeps = solve(dp, mesh, grid)
-        except FixedPointError as exc:
-            result.failures[M] = str(exc)
-            result.iterations.append(exc.report.iterations)
+        except (FixedPointError, NonFiniteSweepError,
+                np.linalg.LinAlgError) as exc:
+            result.failures[M] = f"{type(exc).__name__}: {exc}"
+            report = getattr(exc, "report", None)
+            result.iterations.append(report.iterations if report else None)
             result.wall_times.append(time.perf_counter() - tic)
             continue
         errs = {

@@ -17,8 +17,8 @@ from .adjoint import solve_adjoint
 from .control import (apply_B_adjoint, clamp_control, constant_control,
                       control_to_rhs_terms)
 from .fem import interpolate, l2_sq_rows
-from .state import (StepMatrixCache, discretize_terms, interval_time_integrals,
-                    separable_sq_norm, solve_state)
+from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
+                    interval_time_integrals, separable_sq_norm, solve_state)
 
 
 class FixedPointError(RuntimeError):
@@ -88,7 +88,8 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     ``dp`` is a DiscreteProblem.  The initial control defaults to the
     constant lower bound.  Returns a SolveReport; raises FixedPointError
     (with the partial report attached) when max_iters sweeps do not meet
-    the threshold, or at the first sweep whose criterion is not finite.
+    the threshold, at the first sweep whose criterion is not finite, or
+    when a time sweep produces a non-finite value.
     A negative or non-finite threshold raises ValueError.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
@@ -98,29 +99,37 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     u = u_init if u_init is not None else constant_control(
         grid, dp.box.lower, dp.box)
     neg_yd = [replace(t, spatial=-t.spatial) for t in dp.yd_terms]
-    w_old = None
+    y_k = p_k = w_old = None
+    crit = np.nan
     history = []
+
+    def report(sweep, converged):
+        return SolveReport(u, y_k, p_k, sweep, crit, converged,
+                           history[-1] if history else np.nan, history)
+
     for sweep in range(1, max_iters + 1):
         terms = control_to_rhs_terms(u, dp.shapes) + dp.source_terms
-        y_k = solve_state(dp.M_h, dp.K_h, grid, terms, dp.y0, cache=cache)
-        p_k = solve_adjoint(dp.M_h, dp.K_h, grid, pc_part=y_k, terms=neg_yd,
-                            cache=cache)
+        try:
+            y_k = solve_state(dp.M_h, dp.K_h, grid, terms, dp.y0,
+                              cache=cache)
+            p_k = solve_adjoint(dp.M_h, dp.K_h, grid, pc_part=y_k,
+                                terms=neg_yd, cache=cache)
+        except NonFiniteSweepError as exc:
+            raise FixedPointError(f"{exc} in fixed-point sweep {sweep}",
+                                  report(sweep, False)) from exc
         w = apply_B_adjoint(p_k, dp.shapes, dp.M_h)
         misfit = _tracking_misfit_sq(y_k, dp.yd_terms, dp.M_h, grid)
         history.append(0.5 * misfit + 0.5 * dp.alpha * u.squared_l2())
         crit = np.inf if w_old is None else float(np.max(np.abs(w - w_old)))
         u = clamp_control(grid.t, -w / dp.alpha, dp.box)
         if crit < threshold:
-            return SolveReport(u, y_k, p_k, sweep, crit, True, history[-1],
-                               history)
+            return report(sweep, True)
         if w_old is not None and not np.isfinite(crit):
             raise FixedPointError(
                 f"non-finite criterion {crit} at sweep {sweep}",
-                SolveReport(u, y_k, p_k, sweep, crit, False, history[-1],
-                            history))
+                report(sweep, False))
         w_old = w
-    report = SolveReport(u, y_k, p_k, max_iters, crit, False, history[-1],
-                         history)
     raise FixedPointError(
         f"no convergence in {max_iters} sweeps "
-        f"(last criterion {crit:.3e}, threshold {threshold:.1e})", report)
+        f"(last criterion {crit:.3e}, threshold {threshold:.1e})",
+        report(max_iters, False))

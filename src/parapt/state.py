@@ -103,17 +103,26 @@ def _load_vectors(M_h, terms, grid):
 class StepMatrixCache:
     """Banded Cholesky factor of M + (k/2) K for the latest step size.
 
-    Only one factor is alive at a time: on a uniform grid every step hits
-    it, and on a graded grid each new step size replaces it, so memory does
-    not grow with the number of intervals.  Step sizes are compared after
-    rounding to 12 significant digits, because the differences of a
-    linspace differ in the last bits; the factor is built from the first
-    step size of its class.
+    The constructor stores the nonzero sub-diagonals of M and K (offsets
+    0, 1, n and n+1 on an n x n grid of interior nodes) as two small
+    dense arrays.  Each new step size writes m + (k/2) kappa into those
+    rows of a zero LAPACK lower band, in the sparse sum's operation order,
+    and factors it in place.  Only one factor is alive at a time: on a
+    uniform grid every step hits it, and on a graded grid each new step
+    size replaces it, so memory does not grow with the number of
+    intervals.  Step sizes are compared after rounding to 12 significant
+    digits, because the differences of a linspace differ in the last bits;
+    the factor is built from the first step size of its class.
     """
 
     def __init__(self, M_h, K_h):
         self.M_h = M_h
         self.K_h = K_h
+        low = sp.tril(abs(M_h) + abs(K_h)).tocoo()
+        self._offsets = np.unique(low.row - low.col)
+        self._Md, self._Kd = (
+            np.array([np.pad(A.diagonal(-d), (0, d)) for d in self._offsets])
+            for A in (M_h, K_h))
         self._key = None
         self._factor = None
 
@@ -122,11 +131,9 @@ class StepMatrixCache:
         key = float(f"{float(k):.12g}")
         if key != self._key:
             self._factor = None          # release the old factor first
-            low = sp.tril(self.M_h + 0.5 * float(k) * self.K_h).tocoo()
-            offset = low.row - low.col
-            band = np.zeros((offset.max(initial=0) + 1, low.shape[0]),
+            band = np.zeros((self._offsets[-1] + 1, self.M_h.shape[0]),
                             order="F")      # LAPACK layout: factored in place
-            band[offset, low.col] = low.data
+            band[self._offsets] = self._Md + 0.5 * float(k) * self._Kd
             self._factor = cholesky_banded(band, overwrite_ab=True,
                                            lower=True, check_finite=False)
             self._key = key
@@ -151,19 +158,34 @@ def _mass_solve(M_h, rhs, x0):
     return x
 
 
+class NonFiniteSweepError(ArithmeticError):
+    """A time sweep produced a non-finite value; ``step`` is the first
+    such step, counted from 1 in the order of the march."""
+
+    def __init__(self, step):
+        super().__init__(f"non-finite value at step {step} of a time sweep")
+        self.step = step
+
+
 def cn_march(cache, x, k_explicit, k_implicit, loads, out):
     """Crank-Nicolson march: out[i] = x <- (M + k_i/2 K)^-1 ((M - k'_i/2 K)
     x + l_i) for each load l_i, with k'_i = k_explicit[i] and k_i =
     k_implicit[i]; the StepMatrixCache ``cache`` supplies M, K and the
-    factors.  Writing into the caller's field avoids a copy of it."""
+    factors.  Writing into the caller's field avoids a copy of it.  Raises
+    NonFiniteSweepError if any value written is not finite."""
     M_h, K_h = cache.M_h, cache.K_h
     for i, load in enumerate(loads):
         rhs = M_h @ x - 0.5 * k_explicit[i] * (K_h @ x) + load
         x = out[i] = cache.solve(k_implicit[i], rhs)
+    finite = np.isfinite(out[:len(loads)]).all(axis=1)
+    if not finite.all():
+        raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
 
 
 def solve_state(M_h, K_h, grid, terms, y0, cache=None):
-    """March the damped scheme forward; returns the interval-value field."""
+    """March the damped scheme forward; returns the interval-value field.
+    A non-finite value, the terminal one (step M+1) included, raises
+    NonFiniteSweepError."""
     F = _load_vectors(M_h, terms, grid)
     cache = cache or StepMatrixCache(M_h, K_h)
     k = grid.k
@@ -173,6 +195,8 @@ def solve_state(M_h, K_h, grid, terms, y0, cache=None):
     a = alphas[-2]
     rhs = M_h @ a - 0.5 * k[-1] * (K_h @ a) + F[-1]
     alphas[-1] = _mass_solve(M_h, rhs, x0=a)
+    if not np.isfinite(alphas[-1]).all():
+        raise NonFiniteSweepError(grid.M + 1)
     return PiecewiseConstantField(grid, alphas)
 
 

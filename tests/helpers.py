@@ -8,6 +8,7 @@ sweeps in the package.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from parapt.quadrature import gauss_points, split_at
@@ -40,6 +41,17 @@ def element_mass(coords):
     c = x[[2, 0, 1]] - x[[1, 2, 0]]
     area = 0.5 * (b[0] * c[1] - b[1] * c[0])
     return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
+
+
+def reference_step_band(M_h, K_h, k):
+    """M + (k/2) K in LAPACK lower band storage, built from the sparse sum:
+    ab[i - j, j] = A[i, j] for every stored entry on or below the
+    diagonal."""
+    low = sp.tril(M_h + 0.5 * float(k) * K_h).tocoo()
+    offset = low.row - low.col
+    band = np.zeros((offset.max(initial=0) + 1, low.shape[0]), order="F")
+    band[offset, low.col] = low.data
+    return band
 
 
 def l1_norm(mesh, u):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import parapt.errors
 from parapt.cli import (CSV_HEADER, csv_lines, main, markdown_lines,
                         read_config, summary_lines)
 from parapt.errors import ConvergenceRow, StudyResult
@@ -118,6 +120,32 @@ def test_main_reports_solver_failure(tmp_path):
     # a study whose every level fails still writes every table, empty
     for name in ("control", "state", "state_projected", "adjoint"):
         assert (out / f"{name}.csv").read_text() == CSV_HEADER + "\n"
+
+
+def test_main_records_solver_error_per_level(tmp_path, monkeypatch):
+    """A linear-algebra error at the first level is one failure record; the
+    second level is solved and its rows carry its own sweep count."""
+    real = parapt.errors.fixed_point_solve
+
+    def solve(dp, grid, **kwargs):
+        if grid.M == 4:
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+        return real(dp, grid, **kwargs)
+
+    monkeypatch.setattr(parapt.errors, "fixed_point_solve", solve)
+    out = tmp_path / "e"
+    rc = main(["--example", "1", "--levels", "4,8", "--nh", "9",
+               "--out", str(out)])
+    assert rc == 2
+    recs = [json.loads(line)
+            for line in (out / "summary.jsonl").read_text().splitlines()]
+    assert recs[-1] == {"problem": "example1", "table": None, "M": 4,
+                        "failure": "LinAlgError: leading minor not "
+                                   "positive definite"}
+    rows = [r for r in recs[:-1] if r["table"] == "control"]
+    assert [r["M"] for r in rows] == [8]
+    assert isinstance(rows[0]["iterations"], int) and rows[0]["iterations"] > 0
+    assert len((out / "control.csv").read_text().splitlines()) == 2
 
 
 def test_main_selftest(capsys):

@@ -168,6 +168,43 @@ def test_run_study_records_solver_failures():
     assert all(len(rows) == 0 for rows in res.tables.values())
 
 
+def test_run_study_records_linalg_error_and_continues(monkeypatch):
+    real = parapt.errors.fixed_point_solve
+
+    def solve(dp, grid, **kwargs):
+        if grid.M == 8:
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+        return real(dp, grid, **kwargs)
+
+    monkeypatch.setattr(parapt.errors, "fixed_point_solve", solve)
+    res = run_study(example1(), [4, 8, 16], n_per_side=9)
+    assert res.failures == {
+        8: "LinAlgError: leading minor not positive definite"}
+    assert res.iterations[1] is None and res.iterations[0] > 0
+    for rows in res.tables.values():
+        assert [r.M for r in rows] == [4, 16]
+
+
+def test_run_state_study_records_non_finite_sweep(monkeypatch):
+    """A NaN initial value at one level stops that level's sweep at its
+    first step; the other levels still run."""
+    real = parapt.errors.solve_state
+
+    def solve(M_h, K_h, grid, terms, y0, cache=None):
+        if grid.M == 8:
+            y0 = np.full_like(y0, np.nan)
+        return real(M_h, K_h, grid, terms, y0, cache=cache)
+
+    monkeypatch.setattr(parapt.errors, "solve_state", solve)
+    res = run_state_study(manufactured_smooth(), [4, 8, 16], n_per_side=9)
+    assert list(res.failures) == [8]
+    assert res.failures[8] == ("NonFiniteSweepError: non-finite value at "
+                               "step 1 of a time sweep")
+    assert res.iterations == [0, None, 0]
+    for rows in res.tables.values():
+        assert [r.M for r in rows] == [4, 16]
+
+
 @pytest.mark.parametrize("study", [run_study, run_state_study])
 def test_studies_reject_levels_below_two(study):
     with pytest.raises(ValueError, match="at least 2 time intervals"):

@@ -6,12 +6,12 @@ import scipy.linalg
 from scipy.linalg import cholesky_banded
 
 import parapt.state
-from helpers import dense_state_oracle
+from helpers import dense_state_oracle, reference_step_band
 from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
-from parapt.state import (RhsTerm, StepMatrixCache, hat_time_integrals,
-                          interval_time_integrals, solve_state,
-                          state_l2_stability_check)
+from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
+                          hat_time_integrals, interval_time_integrals,
+                          solve_state, state_l2_stability_check)
 from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
@@ -137,6 +137,60 @@ def test_graded_sweep_holds_one_factor(count_factors):
     # forward k_1..k_M, backward k_M (still live) down to k_1
     assert count_factors["built"] == 2 * grid.M - 1
     assert count_factors["peak_live"] == 1
+
+
+@pytest.mark.parametrize("nh", [3, 5, 17, 65])
+def test_step_factor_equals_factor_of_sparse_band(nh):
+    """The band written from the stored diagonals is the sparse sum's band
+    entry for entry, so the factors agree to the last bit."""
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
+        want = cholesky_banded(reference_step_band(Mh, Kh, k), lower=True,
+                               check_finite=False)
+        assert np.array_equal(StepMatrixCache(Mh, Kh).get(k), want), k
+
+
+def test_step_matrix_not_positive_definite_raises():
+    mesh = build_mesh(17)
+    cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
+    with pytest.raises(np.linalg.LinAlgError):
+        cache.get(-1.0)
+
+
+def test_non_finite_initial_value_fails_fast(small_space):
+    _, Mh, Kh, _, _ = small_space
+    y0 = np.zeros(Mh.shape[0])
+    y0[2] = np.nan
+    with pytest.raises(NonFiniteSweepError, match="step 1 of") as info:
+        solve_state(Mh, Kh, uniform_grid(1.0, 4), [], y0)
+    assert info.value.step == 1
+
+
+def test_non_finite_load_names_first_bad_step(small_space):
+    """A load that is NaN on the third of four intervals spoils the hat
+    load of t_2, so the third interval value is the first bad one; the
+    backward sweep meets that interval second."""
+    _, Mh, Kh, _, _ = small_space
+    grid = uniform_grid(1.0, 4)
+    term = RhsTerm(np.ones(Mh.shape[0]),
+                   lambda t: np.where((t > 0.5) & (t < 0.75), np.nan, 1.0))
+    with pytest.raises(NonFiniteSweepError) as info:
+        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]))
+    assert info.value.step == 3
+    with pytest.raises(NonFiniteSweepError) as info:
+        solve_adjoint(Mh, Kh, grid, terms=[term])
+    assert info.value.step == 2
+
+
+def test_non_finite_terminal_value_fails_fast(small_space, monkeypatch):
+    _, Mh, Kh, _, _ = small_space
+    monkeypatch.setattr(parapt.state, "_mass_solve",
+                        lambda M_h, rhs, x0: np.full_like(rhs, np.nan))
+    grid = uniform_grid(1.0, 4)
+    with pytest.raises(NonFiniteSweepError) as info:
+        solve_state(Mh, Kh, grid, [], np.ones(Mh.shape[0]))
+    assert info.value.step == grid.M + 1
 
 
 def test_step_residuals_against_assembled_matrices(rng):
