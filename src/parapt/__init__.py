@@ -20,8 +20,7 @@ from .optimizer import (DiscreteProblem, FixedPointError, SolveReport,
 from .problems import (ProblemSpec, SeparableTerm, example1, example2,
                        manufactured_smooth, self_test)
 from .state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                    hat_time_integrals, interval_time_integrals, solve_state,
-                    state_l2_stability_check)
+                    hat_moments, solve_state, state_l2_stability_check)
 from .timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                        TimeGrid, dual_linear_projection, graded_grid,
                        make_grid, uniform_grid)

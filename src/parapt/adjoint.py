@@ -15,7 +15,7 @@ exclusively through its interval means.
 import numpy as np
 
 from .fem import l2_sq_rows
-from .state import StepMatrixCache, cn_march, interval_time_integrals
+from .state import StepMatrixCache, cn_march, hat_moments
 from .timegrid import PiecewiseLinearField
 
 
@@ -25,7 +25,7 @@ def _interval_loads(M_h, grid, pc_part, terms):
     if pc_part is not None:
         H += grid.k[:, None] * (M_h @ pc_part.values[:grid.M].T).T
     for term in terms:
-        w = interval_time_integrals(term, grid)
+        w = hat_moments(term, grid).sum(axis=1)
         H += np.outer(w, M_h @ term.spatial)
     return H
 

@@ -5,11 +5,15 @@ CSV per error table, an aligned markdown rendering, and a line-delimited
 summary with iteration counts and wall times.  CSV content depends only
 on the chosen flags, so repeat runs are byte-identical.
 
-Exit codes: 0 on success, 1 on usage errors (unknown problem, a level
-list that is malformed, has a level below 2 intervals or does not
-increase strictly, fewer than 3 nodes per side, a negative or non-finite
-threshold, non-positive or non-finite alpha, unwritable output
-directory), 2 on solver failures.
+Flags and ``--config`` lines meet one argparse parser: each line
+``key=value`` becomes the token ``--key=value``, placed ahead of the
+command line so explicit flags win.  Flags and keys are spelled in full.
+
+Exit codes: 0 on success, 1 on usage errors (an unknown flag, config key,
+problem or format, a malformed value or config file, a level list that
+has a level below 2 or does not increase strictly, fewer than 3 nodes per
+side, a negative or non-finite threshold, non-positive or non-finite
+alpha, unwritable output directory), 2 on solver failures.
 """
 
 import argparse
@@ -23,11 +27,8 @@ from . import problems
 from .errors import TABLES, run_state_study, run_study
 
 CSV_HEADER = "level,M,k,err_L1,err_L2,err_Linf,eoc_L1,eoc_L2,eoc_Linf"
-DEFAULT_LEVELS = {
-    "1": "10,20,40,80,160",
-    "2": "8,16,32,64,128,256",
-    "manufactured": "8,16,32,64,128",
-}
+DEFAULT_LEVELS = {"1": [10, 20, 40, 80, 160], "2": [8, 16, 32, 64, 128, 256],
+                  "manufactured": [8, 16, 32, 64, 128]}
 PROBLEMS = {"1": problems.example1, "2": problems.example2,
             "manufactured": problems.manufactured_smooth}
 
@@ -108,22 +109,50 @@ def read_config(path):
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error: main returns 1, not exit 2
+        raise ValueError(message)
+
+
+def _checked(convert, ok, message):
+    """argparse type: convert the text and require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+    return parse
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="parapt",
+    ap = _Parser(
+        prog="parapt", allow_abbrev=False,
         description="Convergence studies for a control-constrained "
                     "parabolic optimal control solver.")
-    ap.add_argument("--example", help="1, 2 or manufactured")
-    ap.add_argument("--levels", help="comma list of time interval counts")
-    ap.add_argument("--nh", type=int, help="spatial nodes per side "
-                                           "(default 65)")
-    ap.add_argument("--threshold", type=float,
+    ap.add_argument("--example", choices=PROBLEMS, default="1",
+                    help="1, 2 or manufactured (default 1)")
+    ap.add_argument("--levels", type=_checked(
+        lambda s: [int(tok) for tok in s.split(",") if tok.strip()],
+        lambda ls: ls and min(ls) >= 2 and all(
+            a < b for a, b in zip(ls, ls[1:])), "invalid level list"),
+                    help="comma list of time interval counts")
+    ap.add_argument("--nh", default=65, type=_checked(
+        int, lambda n: n >= 3, "nh must be at least 3"),
+                    help="spatial nodes per side (default 65)")
+    ap.add_argument("--threshold", default=1e-5, type=_checked(
+        float, lambda x: math.isfinite(x) and x >= 0,
+        "threshold must be non-negative and finite"),
                     help="fixed-point stopping threshold (default 1e-5)")
     ap.add_argument("--alpha", type=float,
                     help="override the regularization parameter (positive, "
                          "finite)")
-    ap.add_argument("--out", help="output directory (default ./out)")
-    ap.add_argument("--format", dest="fmt", help="csv, md or both")
+    ap.add_argument("--out", type=Path, default="out",
+                    help="output directory (default ./out)")
+    ap.add_argument("--format", dest="fmt", choices=("csv", "md", "both"),
+                    default="csv", help="csv, md or both (default csv)")
     ap.add_argument("--config", help="key=value file; flags win")
     ap.add_argument("--selftest", action="store_true",
                     help="run the exact-solution residual checks and exit")
@@ -131,7 +160,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            cfg = read_config(args.config)
+            args = parser.parse_args(
+                [f"--{key}={val}" for key, val in cfg.items()] + argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.selftest:
         ok = True
@@ -146,52 +185,14 @@ def main(argv=None):
                 print(f"[FAIL] {spec.name}: {exc}")
         return 0 if ok else 2
 
-    cfg = {}
-    if args.config:
-        try:
-            cfg = read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return cfg.get(key, fallback)
-
-    example = str(pick(args.example, "example", "1"))
-    if example not in ("1", "2", "manufactured"):
-        print(f"error: unknown problem {example!r} "
-              "(choose 1, 2 or manufactured)", file=sys.stderr)
-        return 1
-    levels_raw = str(pick(args.levels, "levels", DEFAULT_LEVELS[example]))
+    example, nh, out_dir = args.example, args.nh, args.out
+    levels = args.levels or DEFAULT_LEVELS[example]
     try:
-        levels = [int(tok) for tok in levels_raw.split(",") if tok.strip()]
-        if not levels or any(M < 2 for M in levels) or any(
-                a >= b for a, b in zip(levels, levels[1:])):
-            raise ValueError
-    except ValueError:
-        print(f"error: invalid level list {levels_raw!r}", file=sys.stderr)
-        return 1
-    try:
-        nh = int(pick(args.nh, "nh", 65))
-        if nh < 3:
-            raise ValueError(f"nh must be at least 3, got {nh}")
-        threshold = float(pick(args.threshold, "threshold", 1e-5))
-        if not (math.isfinite(threshold) and threshold >= 0):
-            raise ValueError(f"threshold must be non-negative and finite, "
-                             f"got {threshold}")
-        alpha = pick(args.alpha, "alpha", None)
         spec = PROBLEMS[example]()
-        if alpha is not None:
-            spec = dataclasses.replace(spec, alpha=float(alpha))
+        if args.alpha is not None:
+            spec = dataclasses.replace(spec, alpha=args.alpha)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = Path(str(pick(args.out, "out", "out")))
-    fmt = str(pick(args.fmt, "format", "csv"))
-    if fmt not in ("csv", "md", "both"):
-        print(f"error: unknown format {fmt!r}", file=sys.stderr)
         return 1
 
     try:
@@ -203,25 +204,24 @@ def main(argv=None):
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    if alpha is not None:
-        if spec.name != "manufactured":
-            print("note: alpha override changes the problem; exact-solution "
-                  "errors refer to the original data", file=sys.stderr)
+    if args.alpha is not None and spec.name != "manufactured":
+        print("note: alpha override changes the problem; exact-solution "
+              "errors refer to the original data", file=sys.stderr)
 
     print(f"problem {spec.name}: levels {levels}, {nh} nodes per side")
     if example == "manufactured":
         result = run_state_study(spec, levels, n_per_side=nh, verbose=True)
     else:
-        result = run_study(spec, levels, n_per_side=nh, threshold=threshold,
-                           verbose=True)
+        result = run_study(spec, levels, n_per_side=nh,
+                           threshold=args.threshold, verbose=True)
 
-    if fmt in ("csv", "both"):
+    if args.fmt in ("csv", "both"):
         for name in TABLES:
             if name in result.tables:
                 path = out_dir / f"{name}.csv"
                 path.write_text("\n".join(csv_lines(result.tables[name]))
                                 + "\n")
-    if fmt in ("md", "both"):
+    if args.fmt in ("md", "both"):
         (out_dir / "tables.md").write_text(
             "\n".join(markdown_lines(result)) + "\n")
     (out_dir / "summary.jsonl").write_text(

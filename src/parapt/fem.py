@@ -101,15 +101,11 @@ def stiffness_matrix(mesh):
 
 
 def interpolate(mesh, f):
-    """Nodal interpolation of f(x1, x2) on interior dofs."""
+    """Nodal interpolation of f(x1, x2) on interior dofs; f takes arrays
+    and may return a scalar for a constant profile."""
     x = mesh.nodes[mesh.interior, 0]
     y = mesh.nodes[mesh.interior, 1]
-    try:
-        vals = np.asarray(f(x, y), dtype=float)
-        if vals.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(xi, yi)) for xi, yi in zip(x, y)])
+    vals = np.broadcast_to(f(x, y), x.shape).astype(float)  # a copy
     if not np.all(np.isfinite(vals)):
         bad = np.flatnonzero(~np.isfinite(vals))[0]
         raise ValueError(f"non-finite nodal value at x=({x[bad]}, {y[bad]})")

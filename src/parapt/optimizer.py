@@ -18,7 +18,7 @@ from .control import (apply_B_adjoint, clamp_control, constant_control,
                       control_to_rhs_terms)
 from .fem import interpolate, l2_sq_rows
 from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
-                    interval_time_integrals, separable_sq_norm, solve_state)
+                    hat_moments, separable_sq_norm, solve_state)
 
 
 class FixedPointError(RuntimeError):
@@ -53,7 +53,7 @@ def _tracking_misfit_sq(y_k, yd_terms, M_h, grid):
         grid.k @ l2_sq_rows(M_h, Y))
     if yd_terms:
         G = np.column_stack([t.spatial for t in yd_terms])
-        th_ints = np.array([interval_time_integrals(t, grid)
+        th_ints = np.array([hat_moments(t, grid).sum(axis=1)
                             for t in yd_terms])          # (terms, M)
         total -= 2.0 * float(np.sum(G * (M_h @ (Y.T @ th_ints.T))))
     return max(total, 0.0)

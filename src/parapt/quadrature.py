@@ -6,10 +6,11 @@ All temporal integrals in this package reduce to sums over subintervals
 already at 2 points, and control-norm integrals use 10 points.
 """
 
+from functools import cache
+
 import numpy as np
 
-_nodes5, _weights5 = np.polynomial.legendre.leggauss(5)
-_nodes10, _weights10 = np.polynomial.legendre.leggauss(10)
+_leggauss = cache(np.polynomial.legendre.leggauss)
 
 
 def gauss_points(a, b, rule=5):
@@ -18,12 +19,7 @@ def gauss_points(a, b, rule=5):
     ``a`` and ``b`` may be arrays of matching shape; the returned arrays
     then carry one extra trailing axis of length ``rule``.
     """
-    if rule == 5:
-        x, w = _nodes5, _weights5
-    elif rule == 10:
-        x, w = _nodes10, _weights10
-    else:
-        x, w = np.polynomial.legendre.leggauss(rule)
+    x, w = _leggauss(rule)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)

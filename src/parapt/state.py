@@ -60,42 +60,31 @@ def separable_sq_norm(terms, M_h, grid):
     return float(np.einsum("ipq,jpq,ij,pq->", theta, theta, gram, wts))
 
 
-def _pieces(grid, breaks):
-    """Quadrature pieces: edges refined by breaks, with parent intervals."""
-    edges = split_at(grid.t, np.asarray(breaks, dtype=float))
+def hat_moments(term, grid):
+    """(M, 2) integrals of theta against the falling and the rising hat of
+    each interval I_m, by 10-point Gauss on pieces split at the breaks.
+
+    The state load at t_j is mom[j, 0] + mom[j-1, 1]; the plain integral
+    over I_m, which the adjoint load takes, is mom[m-1].sum().
+    """
+    edges = split_at(grid.t, term.breaks)
     parents = grid.interval_index(0.5 * (edges[:-1] + edges[1:]))
-    return edges, parents
-
-
-def hat_time_integrals(term, grid):
-    """w_j = integral of theta(t) * hat_j(t) dt for j = 0..M."""
-    edges, parents = _pieces(grid, term.breaks)
     pts, wts = gauss_points(edges[:-1], edges[1:], rule=10)
-    theta = np.asarray(term.temporal(pts), dtype=float)
+    wt = wts * np.asarray(term.temporal(pts), dtype=float)
     t0 = grid.t[parents][:, None]
-    t1 = grid.t[parents + 1][:, None]
-    up = (pts - t0) / (t1 - t0)           # hat at the right end of I_m
-    w = np.zeros(grid.M + 1)
-    np.add.at(w, parents + 1, (wts * theta * up).sum(axis=1))
-    np.add.at(w, parents, (wts * theta * (1.0 - up)).sum(axis=1))
-    return w
-
-
-def interval_time_integrals(term, grid):
-    """Plain integrals of theta over each interval I_m."""
-    edges, parents = _pieces(grid, term.breaks)
-    pts, wts = gauss_points(edges[:-1], edges[1:], rule=10)
-    theta = np.asarray(term.temporal(pts), dtype=float)
-    out = np.zeros(grid.M)
-    np.add.at(out, parents, (wts * theta).sum(axis=1))
-    return out
+    up = (pts - t0) / (grid.t[parents + 1][:, None] - t0)
+    mom = np.zeros((grid.M, 2))
+    np.add.at(mom, parents, np.column_stack(
+        [(wt * (1.0 - up)).sum(axis=1), (wt * up).sum(axis=1)]))
+    return mom
 
 
 def _load_vectors(M_h, terms, grid):
     """Hat-weighted load vectors F_0..F_M."""
     F = np.zeros((grid.M + 1, M_h.shape[0]))
     for term in terms:
-        w = hat_time_integrals(term, grid)
+        mom = hat_moments(term, grid)
+        w = np.pad(mom[:, 0], (0, 1)) + np.pad(mom[:, 1], (1, 0))
         F += np.outer(w, M_h @ term.spatial)
     return F
 

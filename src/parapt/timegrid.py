@@ -72,17 +72,11 @@ class PiecewiseConstantField:
     values: np.ndarray
 
     def value(self, t):
-        if np.ndim(t) == 0:
-            if t == self.grid.T:
-                return self.values[-1]
-            return self.values[self.grid.interval_index(t)]
         t = np.asarray(t, dtype=float)
-        out = self.values[self.grid.interval_index(t)]
         at_T = t == self.grid.T
-        if np.any(at_T):
-            out = np.where(at_T[..., None] if self.values.ndim > 1 else at_T,
-                           self.values[-1], out)
-        return out
+        return np.where(at_T[..., None] if self.values.ndim > 1 else at_T,
+                        self.values[-1],
+                        self.values[self.grid.interval_index(t)])
 
 
 @dataclass

@@ -103,11 +103,18 @@ def test_main_usage_errors(tmp_path):
     assert main(["--example", "1", "--levels", "a,b", "--out", out]) == 1
     assert main(["--example", "1", "--levels", "0", "--out", out]) == 1
     assert main(["--example", "1", "--format", "yaml", "--out", out]) == 1
+    assert main(["--example", "1", "--nh", "abc", "--out", out]) == 1
+    assert main(["--example", "1", "--threshold", "abc", "--out", out]) == 1
+    assert main(["--example", "1", "--alpha", "x", "--out", out]) == 1
+    assert main(["--example", "1", "--bogus", "1", "--out", out]) == 1
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("threshold=abc\n")
     assert main(["--config", str(cfg), "--out", out]) == 1
     cfg.write_text("just words\n")
     assert main(["--config", str(cfg), "--out", out]) == 1
+    cfg.write_text("example=1\nlevels=4\nnhh=129\n")   # unknown key
+    assert main(["--config", str(cfg), "--nh", "9", "--out", out]) == 1
+    assert not (tmp_path / "x" / "summary.jsonl").exists()
 
 
 def test_main_reports_solver_failure(tmp_path):

@@ -83,6 +83,9 @@ def test_interpolate_matches_pointwise_loop():
     vals = interpolate(mesh, g1)
     pts = mesh.nodes[mesh.interior]
     np.testing.assert_allclose(vals, [g1(x, y) for x, y in pts], rtol=1e-15)
+    const = interpolate(mesh, lambda x, y: 2.0)      # a constant profile
+    np.testing.assert_array_equal(const, np.full(len(pts), 2.0))
+    const[0] = 0.0                                   # writable, not a view
 
 
 def test_interpolate_rejects_nonfinite():

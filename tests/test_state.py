@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import trapezoid
 from scipy.linalg import cholesky_banded
 
 import parapt.state
@@ -10,8 +11,7 @@ from helpers import dense_state_oracle, reference_step_band
 from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                          hat_time_integrals, interval_time_integrals,
-                          solve_state, state_l2_stability_check)
+                          hat_moments, solve_state, state_l2_stability_check)
 from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
@@ -70,29 +70,34 @@ def test_hat_integrals_of_clamped_ramp():
     grid = uniform_grid(1.0, 1)
     ramp = lambda t: np.clip(t, 0.25, 0.75)
     term = RhsTerm(np.array([1.0]), ramp, breaks=np.array([0.25, 0.75]))
-    vals = hat_time_integrals(term, grid)
-    assert vals[0] == pytest.approx(37.0 / 192.0, rel=1e-14)
-    assert vals[1] == pytest.approx(59.0 / 192.0, rel=1e-14)
+    mom = hat_moments(term, grid)
+    assert mom.shape == (1, 2)
+    assert mom[0, 0] == pytest.approx(37.0 / 192.0, rel=1e-14)
+    assert mom[0, 1] == pytest.approx(59.0 / 192.0, rel=1e-14)
 
 
 def test_hat_integrals_match_brute_force(rng):
     grid = make_grid([0.0, 0.35, 0.8, 1.0])
     theta = lambda t: np.exp(-t) * np.cos(4.0 * t)
     term = RhsTerm(np.array([1.0]), theta)
-    vals = hat_time_integrals(term, grid)
-    t = np.linspace(0.0, 1.0, 2_000_001)
-    for j in range(4):
-        b = np.interp(t, grid.t, np.eye(4)[j])
-        ref = np.trapezoid(theta(t) * b, t)
-        assert vals[j] == pytest.approx(ref, abs=1e-10)
+    mom = hat_moments(term, grid)
+    for m in range(grid.M):
+        t0, t1 = grid.t[m], grid.t[m + 1]
+        t = np.linspace(t0, t1, 700_001)
+        falling = trapezoid(theta(t) * (t1 - t) / (t1 - t0), t)
+        rising = trapezoid(theta(t) * (t - t0) / (t1 - t0), t)
+        assert mom[m, 0] == pytest.approx(falling, abs=1e-10)
+        assert mom[m, 1] == pytest.approx(rising, abs=1e-10)
 
 
 def test_interval_integrals_closed_forms():
     grid = make_grid([0.0, 0.4, 1.0])
     one = RhsTerm(np.array([1.0]), lambda t: np.ones_like(t))
     ramp = RhsTerm(np.array([1.0]), lambda t: t)
-    np.testing.assert_allclose(interval_time_integrals(one, grid), grid.k)
-    np.testing.assert_allclose(interval_time_integrals(ramp, grid),
+    np.testing.assert_allclose(hat_moments(one, grid),
+                               np.column_stack([grid.k, grid.k]) / 2)
+    np.testing.assert_allclose(hat_moments(one, grid).sum(axis=1), grid.k)
+    np.testing.assert_allclose(hat_moments(ramp, grid).sum(axis=1),
                                [0.4 ** 2 / 2, (1.0 - 0.4 ** 2) / 2],
                                rtol=1e-14)
 

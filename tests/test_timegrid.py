@@ -38,6 +38,10 @@ def test_piecewise_constant_field_lookup():
     field = PiecewiseConstantField(grid, np.array([[1.0], [2.0], [7.0]]))
     t = np.array([0.0, 0.49, 0.5, 0.99, 1.0])
     np.testing.assert_allclose(field.value(t)[:, 0], [1.0, 1.0, 2.0, 2.0, 7.0])
+    # scalar times: inside an interval, on an inner node, and t = T
+    np.testing.assert_array_equal(field.value(0.3), [1.0])
+    np.testing.assert_array_equal(field.value(0.5), [2.0])
+    np.testing.assert_array_equal(field.value(1.0), [7.0])
 
 
 def test_piecewise_linear_field_interpolates():
