@@ -17,7 +17,8 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .control import control_norms
-from .fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
+from .fem import (build_mesh, interpolate, l2_sq_rows, mass_matrix,
+                  stiffness_matrix)
 from .optimizer import FixedPointError, discretize_problem, fixed_point_solve
 from .quadrature import gauss_points
 from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
@@ -57,7 +58,7 @@ def field_error_norms(exact_terms, approx, mesh, M_h):
             err -= approx.value(sample)
         w = wts[lo:lo + per_chunk].ravel()
         e = err[:, 1:-1].reshape(len(w), n)      # Gauss-point rows, a copy
-        l2sq += float(w @ np.einsum("qi,iq->q", e, M_h @ e.T))
+        l2sq += float(w @ l2_sq_rows(M_h, e))
         l1 += float(w @ (np.abs(e, out=e) @ mesh.lumped_weights))
         linf = max(linf, float(np.abs(err, out=err).max(initial=0.0)))
     return {"L1": l1, "L2": float(np.sqrt(max(l2sq, 0.0))), "Linf": linf}

@@ -1,13 +1,18 @@
 """P1 finite elements on a structured triangulation of the unit square.
 
-The mesh is the usual criss-cross pattern: an n-by-n grid of nodes, each
-square cell split along its lower-left/upper-right diagonal.  Homogeneous
-Dirichlet conditions are built in by assembling only over interior nodes,
-so mass and stiffness matrices are SPD and fields are coefficient vectors
-indexed by interior degrees of freedom.
+The mesh is an n-by-n grid of nodes whose square cells are each cut along
+their lower-left/upper-right diagonal into two triangles (one diagonal,
+not the criss-cross pattern of two).  Homogeneous Dirichlet conditions
+are built in by keeping only interior nodes, so mass and stiffness
+matrices are SPD and fields are coefficient vectors indexed by interior
+degrees of freedom.  Every node lies in the same six triangles, so with
+h = 1/(n-1) each matrix row is one 7-point stencil cut off at the
+boundary: M has h^2/2 at the centre and h^2/12 to the E, W, N, S, NE and
+SW neighbours, K has 4 at the centre and -1 to E, W, N and S, and the
+lumped weight of every interior node is h^2 (area/3 of six triangles).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,11 +26,11 @@ class StructuredTriMesh:
     triangles: np.ndarray      # (2*(n-1)^2, 3), counterclockwise
     interior: np.ndarray       # interior node ids in dof order
     interior_index: np.ndarray  # node id -> dof id, -1 on the boundary
-    lumped_weights: np.ndarray = field(default=None)  # per dof, sum area/3
+    lumped_weights: np.ndarray  # per dof, sum of area/3: h^2
 
 
 def build_mesh(n_per_side):
-    """Criss-cross triangulation of (0,1)^2 with n_per_side nodes per side."""
+    """Triangulation of (0,1)^2 with n_per_side nodes per side."""
     n = n_per_side
     if n < 3:
         raise ValueError(f"need at least 3 nodes per side, got {n}")
@@ -34,70 +39,46 @@ def build_mesh(n_per_side):
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    i, j = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="xy")
-    ll = (j * n + i).ravel()
-    lr = ll + 1
-    ul = ll + n
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])   # diagonal ll-ur
-    upper = np.column_stack([ll, ur, ul])
-    triangles = np.vstack([lower, upper])
-
-    ii = np.arange(n * n) % n
-    jj = np.arange(n * n) // n
-    is_interior = (ii > 0) & (ii < n - 1) & (jj > 0) & (jj < n - 1)
-    interior = np.flatnonzero(is_interior)
+    ids = np.arange(n * n).reshape(n, n)        # ids[j, i] = j*n + i
+    ll, lr = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    ul, ur = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    triangles = np.vstack([np.column_stack([ll, lr, ur]),   # diagonal ll-ur
+                           np.column_stack([ll, ur, ul])])
+    interior = ids[1:-1, 1:-1].ravel()
     interior_index = np.full(n * n, -1, dtype=np.int64)
     interior_index[interior] = np.arange(interior.size)
-
-    mesh = StructuredTriMesh(n, h, nodes, triangles, interior, interior_index)
-    mesh.lumped_weights = _lumped_weights(mesh)
-    return mesh
+    return StructuredTriMesh(n, h, nodes, triangles, interior, interior_index,
+                             np.full(interior.size, h * h))
 
 
-def _triangle_geometry(mesh):
-    """Per-triangle vertex coordinates, edge coefficients and areas."""
-    p = mesh.nodes[mesh.triangles]          # (ntri, 3, 2)
-    x, y = p[:, :, 0], p[:, :, 1]
-    # b_i = y_j - y_k, c_i = x_k - x_j with (i,j,k) cyclic
-    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return b, c, area
+# steps (di, dj) from a node to the one di nodes east and dj nodes north,
+# in the column order of a matrix row: SW, S, W, centre, E, N, NE
+STEPS = np.array([(-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-def _lumped_weights(mesh):
-    """Vertex quadrature weights sum(area/3) per interior dof."""
-    _, _, area = _triangle_geometry(mesh)
-    w = np.zeros(mesh.nodes.shape[0])
-    np.add.at(w, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
-    return w[mesh.interior]
-
-
-def _assemble_pair(mesh, local):
-    """Interior-restricted CSR matrix from (ntri,3,3) local blocks;
-    duplicate entries are summed."""
-    tri_dofs = mesh.interior_index[mesh.triangles]        # (ntri, 3)
-    rows = np.repeat(tri_dofs, 3, axis=1).ravel()
-    cols = np.tile(tri_dofs, (1, 3)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    nd = mesh.interior.size
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(nd, nd)).tocsr()
+def _stencil_matrix(mesh, weights):
+    """Interior-restricted CSR matrix whose row for node (i, j) holds
+    weights[s] at node (i + di, j + dj) for each step s = (di, dj) with a
+    nonzero weight that stays in the interior."""
+    m = mesh.n_per_side - 2
+    weights = np.asarray(weights, dtype=float)
+    di, dj = STEPS[weights != 0].T
+    j, i = np.divmod(np.arange(m * m), m)
+    i, j = i[:, None] + di, j[:, None] + dj   # neighbour of each dof, per step
+    keep = (i >= 0) & (i < m) & (j >= 0) & (j < m)
+    data = np.broadcast_to(weights[weights != 0], keep.shape)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((data, (j * m + i)[keep], indptr),
+                         shape=(m * m, m * m))
 
 
 def mass_matrix(mesh):
-    _, _, area = _triangle_geometry(mesh)
-    local = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    return _assemble_pair(mesh, local)
+    w = mesh.h ** 2 / 12.0
+    return _stencil_matrix(mesh, [w, w, w, 6.0 * w, w, w, w])
 
 
 def stiffness_matrix(mesh):
-    b, c, area = _triangle_geometry(mesh)
-    local = (np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c))
-    local /= (4.0 * area)[:, None, None]
-    return _assemble_pair(mesh, local)
+    return _stencil_matrix(mesh, [0, -1, -1, 4, -1, -1, 0])
 
 
 def interpolate(mesh, f):
@@ -114,4 +95,4 @@ def interpolate(mesh, f):
 
 def l2_sq_rows(M_h, X):
     """Squared L2 norms of the rows of X, one field per row."""
-    return np.einsum("mi,im->m", X, M_h @ X.T)
+    return np.einsum("mi,mi->m", X, X @ M_h)

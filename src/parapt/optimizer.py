@@ -61,7 +61,8 @@ def _tracking_misfit_sq(y_k, yd_terms, M_h, grid):
 
 @dataclass
 class DiscreteProblem:
-    """Mesh-resolved problem data shared by all fixed-point sweeps."""
+    """Mesh-resolved problem data shared by all fixed-point sweeps.  The
+    constructor raises ValueError on inconsistent sizes or a bad alpha."""
     M_h: object
     K_h: object
     alpha: float
@@ -70,6 +71,22 @@ class DiscreteProblem:
     y0: np.ndarray
     source_terms: list       # RhsTerm list for the control-independent load
     yd_terms: list           # RhsTerm list for the tracking target
+
+    def __post_init__(self):
+        n = self.M_h.shape[0]
+        terms = [*self.source_terms, *self.yd_terms]
+        vectors = [self.y0, *self.shapes, *(t.spatial for t in terms)]
+        if not (self.M_h.shape == self.K_h.shape == (n, n)
+                and all(np.shape(v) == (n,) for v in vectors)):
+            raise ValueError(f"M_h {self.M_h.shape} and K_h {self.K_h.shape} "
+                             f"must be square of one size n, and y0, shapes "
+                             f"and term profiles of length n")
+        if len(self.shapes) != self.box.dim:
+            raise ValueError(f"{len(self.shapes)} control shapes for a "
+                             f"{self.box.dim}-component admissible box")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, "
+                             f"got {self.alpha}")
 
 
 def discretize_problem(problem, mesh, M_h, K_h):

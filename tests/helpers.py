@@ -43,6 +43,31 @@ def element_mass(coords):
     return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
 
+def element_assembly(mesh, element):
+    """Interior-restricted CSR matrix summed triangle by triangle from the
+    3x3 blocks ``element(coords)`` (element_mass or element_stiffness):
+    COO entries of every triangle, boundary rows and columns dropped,
+    duplicates summed."""
+    tri_dofs = mesh.interior_index[mesh.triangles]        # (ntri, 3)
+    local = np.array([element(mesh.nodes[t]) for t in mesh.triangles])
+    rows = np.repeat(tri_dofs, 3, axis=1).ravel()
+    cols = np.tile(tri_dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    nd = mesh.interior.size
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(nd, nd)).tocsr()
+
+
+def element_lumped_weights(mesh):
+    """Per interior dof, the sum of area/3 over the triangles at its node;
+    a triangle's area is the sum of its element mass matrix."""
+    area = np.array([element_mass(mesh.nodes[t]).sum()
+                     for t in mesh.triangles])
+    w = np.zeros(mesh.nodes.shape[0])
+    np.add.at(w, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+    return w[mesh.interior]
+
+
 def reference_step_band(M_h, K_h, k):
     """M + (k/2) K in LAPACK lower band storage, built from the sparse sum:
     ab[i - j, j] = A[i, j] for every stored entry on or below the

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import element_mass, element_stiffness
+from helpers import (element_assembly, element_lumped_weights, element_mass,
+                     element_stiffness)
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 
 
@@ -64,6 +65,36 @@ def test_global_matrices_symmetric_positive_definite():
     np.testing.assert_allclose(Kd, Kd.T, atol=0)
     assert np.linalg.eigvalsh(Md).min() > 0
     assert np.linalg.eigvalsh(Kd).min() > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 33])
+@pytest.mark.parametrize("stencil, element", [(mass_matrix, element_mass),
+                                              (stiffness_matrix,
+                                               element_stiffness)])
+def test_stencil_matrices_match_element_assembly(n, stencil, element):
+    mesh = build_mesh(n)
+    np.testing.assert_allclose(stencil(mesh).toarray(),
+                               element_assembly(mesh, element).toarray(),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 33])
+def test_lumped_weights_match_element_areas(n):
+    mesh = build_mesh(n)
+    np.testing.assert_allclose(mesh.lumped_weights,
+                               element_lumped_weights(mesh),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 33])
+def test_stencil_matrices_store_no_zeros(n):
+    # K couples each node to its E, W, N, S neighbours; M also to NE, SW
+    m, mesh = n - 2, build_mesh(n)
+    K, M = stiffness_matrix(mesh), mass_matrix(mesh)
+    assert K.nnz == m * m + 4 * m * (m - 1)
+    assert M.nnz == m * m + 4 * m * (m - 1) + 2 * (m - 1) ** 2
+    assert np.all(K.data != 0) and np.all(M.data != 0)
+    assert K.has_canonical_format and M.has_canonical_format
 
 
 def test_interior_row_sums_at_center_node():

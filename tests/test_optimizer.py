@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -36,11 +37,36 @@ def test_huge_regularization_collapses_to_zero_control():
     assert np.abs(np.concatenate(rep.control.vals)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda dp: {"M_h": dp.M_h[:, :-1]}, "square"),
+    (lambda dp: {"K_h": dp.K_h[:-1, :-1]}, "square of one size"),
+    (lambda dp: {"y0": dp.y0[:-1]}, "length n"),
+    (lambda dp: {"shapes": [dp.shapes[0][:-1]]}, "length n"),
+    (lambda dp: {"source_terms": [RhsTerm(dp.y0[:-1], np.cos)]},
+     "length n"),
+    (lambda dp: {"yd_terms": dp.yd_terms + [RhsTerm(dp.y0[:-1], np.cos)]},
+     "length n"),
+    (lambda dp: {"shapes": dp.shapes * 2}, "2 control shapes"),
+    (lambda dp: {"alpha": 0.0}, "alpha"),
+    (lambda dp: {"alpha": -1.0}, "alpha"),
+    (lambda dp: {"alpha": np.inf}, "alpha"),
+    (lambda dp: {"alpha": np.nan}, "alpha"),
+], ids=["M_h-not-square", "K_h-other-shape", "y0-length", "shape-length",
+        "source-length", "target-length", "shapes-vs-box", "alpha-zero",
+        "alpha-negative", "alpha-inf", "alpha-nan"])
+def test_discrete_problem_rejects_inconsistent_data(coarse_setup, change,
+                                                    message):
+    _, _, dp = coarse_setup
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(dp, **change(dp))
+
+
 def test_non_finite_criterion_fails_fast(coarse_setup):
     """With alpha = 0 the clamp of -w/alpha is NaN where w vanishes, so the
     second sweep's criterion is NaN; the solve stops there."""
     prob, _, dp = coarse_setup
-    broken = dataclasses.replace(dp, alpha=0.0)
+    broken = copy.copy(dp)
+    broken.alpha = 0.0      # set after construction, which rejects it
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(FixedPointError, match="non-finite") as info:
         fixed_point_solve(broken, uniform_grid(prob.T, 4))
