@@ -15,19 +15,16 @@ exclusively through its interval means.
 import numpy as np
 
 from .fem import l2_sq_rows
-from .state import StepMatrixCache, cn_march, hat_moments
+from .state import StepMatrixCache, cn_march, mass_rows, term_moments
 from .timegrid import PiecewiseLinearField
 
 
-def _interval_loads(M_h, grid, pc_part, terms):
-    """H_m = integral of (h, phi_i) over I_m, for m = 1..M."""
-    H = np.zeros((grid.M, M_h.shape[0]))
-    if pc_part is not None:
-        H += grid.k[:, None] * (M_h @ pc_part.values[:grid.M].T).T
-    for term in terms:
-        w = hat_moments(term, grid).sum(axis=1)
-        H += np.outer(w, M_h @ term.spatial)
-    return H
+def march_adjoint(cache, grid, H):
+    """March backward from beta_M = 0 under the interval loads H."""
+    betas = np.zeros((grid.M + 1, H.shape[1]))
+    k = grid.k[::-1]
+    cn_march(cache, betas[-1], k, k, H[::-1], betas[-2::-1])
+    return PiecewiseLinearField(grid.t.copy(), betas)
 
 
 def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), cache=None):
@@ -37,12 +34,11 @@ def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), cache=None):
     (the discrete state in the optimality system) and separable terms (the
     tracking target, negated by the caller).
     """
-    H = _interval_loads(M_h, grid, pc_part, terms)
-    cache = cache or StepMatrixCache(M_h, K_h)
-    betas = np.zeros((grid.M + 1, M_h.shape[0]))
-    k = grid.k[::-1]
-    cn_march(cache, betas[-1], k, k, H[::-1], betas[-2::-1])
-    return PiecewiseLinearField(grid.t.copy(), betas)
+    H = term_moments(terms, grid).sum(axis=2).T @ mass_rows(
+        M_h, [t.spatial for t in terms])
+    if pc_part is not None:
+        H += grid.k[:, None] * (M_h @ pc_part.values[:grid.M].T).T
+    return march_adjoint(cache or StepMatrixCache(M_h, K_h), grid, H)
 
 
 def adjoint_stability_check(p_k, rhs_norm, M_h, K_h, grid):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_points, split_at
-from .state import RhsTerm
+from .state import RhsTerm, mass_rows
 
 LOWER, INACTIVE, UPPER = -1, 0, 1
 
@@ -134,9 +134,7 @@ def apply_B_adjoint(p_k, shapes, M_h):
     shape functions g_i; the pairing of a piecewise-linear field is again
     piecewise linear, so nodal values determine it.  Returns (D, M+1).
     """
-    Mg = np.column_stack([M_h @ g for g in shapes]) if shapes else \
-        np.zeros((M_h.shape[0], 0))
-    return (p_k.values @ Mg).T
+    return (p_k.values @ mass_rows(M_h, shapes).T).T
 
 
 def control_to_rhs_terms(u, shapes):

@@ -7,18 +7,19 @@ spatial error floor shows up at fine time steps and is reported rather
 than subtracted.  Time integration uses 5-point Gauss per interval of
 whichever partition the approximation lives on, spatial L1 uses lumped
 vertex quadrature, and the sup norm is sampled at Gauss points plus
-interval endpoints.
+interval endpoints, a chunk of intervals at a time with two dense
+products of a small coefficient matrix with stored rows.
 """
 
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from .adjoint import solve_adjoint
 from .control import control_norms
-from .fem import (build_mesh, interpolate, l2_sq_rows, mass_matrix,
-                  stiffness_matrix)
+from .fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from .optimizer import FixedPointError, discretize_problem, fixed_point_solve
 from .quadrature import gauss_points
 from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
@@ -34,33 +35,44 @@ def field_error_norms(exact_terms, approx, mesh, M_h):
     """L1(L1), L2(L2), Linf(Linf) distance of a discrete field from a sum
     of separable terms (theta, interior coefficient vector).
 
-    Each interval is sampled at its two ends and its five Gauss points.
-    Intervals are processed in chunks of at most ``CHUNK_ENTRIES`` sampled
-    coefficients (at least one interval), so memory stays bounded on fine
-    grids.
+    Samples are each interval's five Gauss points and ends, where the
+    field weighs its values by 1 - r and r (r = 0 if piecewise constant).
+    A chunk's errors are a coefficient matrix C times [g_1..g_T; v_lo..v_hi],
+    their M-products C's Gauss rows times [M g_i; M v_j], each M v_j made
+    once.  Chunks hold at most ``CHUNK_ENTRIES`` sampled values, C as many.
     """
-    piecewise_constant = isinstance(approx, PiecewiseConstantField)
-    edges = approx.grid.t if piecewise_constant else approx.times
-    pts, wts = gauss_points(edges[:-1], edges[1:])
-    samples = np.column_stack([edges[:-1], pts, edges[1:]])  # (intervals, 7)
-    n = M_h.shape[0]
-    per_chunk = max(1, CHUNK_ENTRIES // (samples.shape[1] * max(n, 1)))
+    pc = isinstance(approx, PiecewiseConstantField)
+    edges = approx.grid.t if pc else approx.times
+    t0 = edges[:-1]
+    pts, wts = gauss_points(t0, edges[1:])
+    samples = np.vstack([pts.T, t0, edges[1:]])          # (7, intervals)
+    right = np.zeros_like(samples) if pc else (samples - t0) / np.diff(edges)
+    n, nt, S = M_h.shape[0], len(exact_terms), len(samples)
+    theta = np.moveaxis(np.reshape([th(samples.ravel()) for th, _ in
+                                    exact_terms], (nt,) + samples.shape), 0, 2)
+    per_chunk = max(1, min(CHUNK_ENTRIES // (S * n),
+                           isqrt(CHUNK_ENTRIES // S) - nt - 1))
+    G = np.reshape([g for _, g in exact_terms], (nt, n))
+    last = len(edges) - 1 - pc       # a PC field's terminal value is unused
+    MG, Mv = G @ M_h, M_h @ approx.values[0]
     l1 = l2sq = linf = 0.0
-    for lo in range(0, len(samples), per_chunk):
-        sample = samples[lo:lo + per_chunk]
-        err = np.zeros(sample.shape + (n,))
-        for theta, g in exact_terms:
-            vals = np.asarray(theta(sample.ravel()), dtype=float)
-            err += vals.reshape(sample.shape)[..., None] * g
-        if piecewise_constant:
-            err -= approx.values[lo:lo + len(sample), None, :]
-        else:
-            err -= approx.value(sample)
-        w = wts[lo:lo + per_chunk].ravel()
-        e = err[:, 1:-1].reshape(len(w), n)      # Gauss-point rows, a copy
-        l2sq += float(w @ l2_sq_rows(M_h, e))
-        l1 += float(w @ (np.abs(e, out=e) @ mesh.lumped_weights))
-        linf = max(linf, float(np.abs(err, out=err).max(initial=0.0)))
+    for lo in range(0, samples.shape[1], per_chunk):
+        c = min(per_chunk, samples.shape[1] - lo)
+        r, j = nt + c + 1, np.arange(c)
+        coef = np.zeros((S, c, r))
+        coef[..., :nt] = theta[:, lo:lo + c]
+        coef[:, j, nt + j] = right[:, lo:lo + c] - 1.0
+        coef[:, j, nt + j + 1] = -right[:, lo:lo + c]
+        V = approx.values[np.minimum(np.arange(lo, lo + c + 1), last)]
+        MV = np.vstack([Mv] + [M_h @ v for v in V[1:]])
+        err = coef.reshape(-1, r) @ np.vstack([G, V])
+        gauss, w = err[:-2 * c], wts[lo:lo + c].T.ravel()
+        l2sq += float(w @ np.einsum("ri,ri->r", gauss, coef[:-2].reshape(
+            -1, r) @ np.vstack([MG, MV])))
+        np.abs(err, out=err)
+        l1 += float(w @ (gauss @ mesh.lumped_weights))
+        linf = max(linf, float(err.max(initial=0.0)))
+        Mv = MV[-1]
     return {"L1": l1, "L2": float(np.sqrt(max(l2sq, 0.0))), "Linf": linf}
 
 

@@ -9,16 +9,16 @@ maximum norm over grid nodes and components.  Because the stopping test
 compares consecutive pairings, the count never drops below two sweeps.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import solve_adjoint
-from .control import (apply_B_adjoint, clamp_control, constant_control,
-                      control_to_rhs_terms)
-from .fem import interpolate, l2_sq_rows
+from .adjoint import march_adjoint
+from .control import clamp_control, constant_control, control_to_rhs_terms
+from .fem import interpolate
 from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
-                    hat_moments, separable_sq_norm, solve_state)
+                    march_state, mass_rows, separable_sq_norm, term_moments,
+                    terminal_solve)
 
 
 class FixedPointError(RuntimeError):
@@ -42,21 +42,17 @@ class SolveReport:
     objective_history: list = field(default_factory=list)
 
 
-def _tracking_misfit_sq(y_k, yd_terms, M_h, grid):
-    """Integral over (0,T) of ||y_k(t) - y_d(t)||^2 in L2(Omega).
+def _tracking_misfit_sq(Y, MY, grid, target):
+    """Integral over (0,T) of ||y_k(t) - y_d(t)||^2 in L2(Omega) from the
+    interval values Y, their rows M y and ``target``: the target's squared
+    norm, its (terms, M) interval integrals and its (terms, n) rows M g.
 
     Exact in the piecewise-constant factor, 5-point Gauss in the smooth
     target factors.
     """
-    Y = y_k.values[:grid.M]
-    total = separable_sq_norm(yd_terms, M_h, grid) + float(
-        grid.k @ l2_sq_rows(M_h, Y))
-    if yd_terms:
-        G = np.column_stack([t.spatial for t in yd_terms])
-        th_ints = np.array([hat_moments(t, grid).sum(axis=1)
-                            for t in yd_terms])          # (terms, M)
-        total -= 2.0 * float(np.sum(G * (M_h @ (Y.T @ th_ints.T))))
-    return max(total, 0.0)
+    sq, ints, MG = target
+    return max(sq + float(grid.k @ np.einsum("mi,mi->m", Y, MY))
+               - 2.0 * float(np.sum(ints.T * (Y @ MG.T))), 0.0)
 
 
 @dataclass
@@ -112,41 +108,54 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "
                          f"got {threshold}")
-    cache = StepMatrixCache(dp.M_h, dp.K_h)
+    M_h, D = dp.M_h, len(dp.shapes)
+    cache = StepMatrixCache(M_h, dp.K_h)
     u = u_init if u_init is not None else constant_control(
         grid, dp.box.lower, dp.box)
-    neg_yd = [replace(t, spatial=-t.spatial) for t in dp.yd_terms]
+    MG = mass_rows(M_h, [*dp.shapes, *(t.spatial for t in dp.source_terms)])
+    source_mom = term_moments(dp.source_terms, grid)
+    target = (separable_sq_norm(dp.yd_terms, M_h, grid),
+              term_moments(dp.yd_terms, grid).sum(axis=2),
+              mass_rows(M_h, [t.spatial for t in dp.yd_terms]))
     y_k = p_k = w_old = None
     crit = np.nan
     history = []
 
-    def report(sweep, converged):
-        return SolveReport(u, y_k, p_k, sweep, crit, converged,
-                           history[-1] if history else np.nan, history)
+    def finish(sweep, failure=None):
+        """The report, its state completed here; raises FixedPointError."""
+        try:
+            if y_k is not None:
+                terminal_solve(M_h, y_k)
+        except NonFiniteSweepError as exc:
+            failure = failure or f"{exc} after fixed-point sweep {sweep}"
+        rep = SolveReport(u, y_k, p_k, sweep, crit, failure is None,
+                          history[-1] if history else np.nan, history)
+        if failure:
+            raise FixedPointError(failure, rep)
+        return rep
 
     for sweep in range(1, max_iters + 1):
-        terms = control_to_rhs_terms(u, dp.shapes) + dp.source_terms
+        mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
         try:
-            y_k = solve_state(dp.M_h, dp.K_h, grid, terms, dp.y0,
-                              cache=cache)
-            p_k = solve_adjoint(dp.M_h, dp.K_h, grid, pc_part=y_k,
-                                terms=neg_yd, cache=cache)
+            y_k = march_state(cache, grid, np.concatenate([mom, source_mom]),
+                              MG, dp.y0)
+            Y = y_k.values[:grid.M]
+            H = (M_h @ Y.T).T                     # rows M y, then the loads
+            misfit = _tracking_misfit_sq(Y, H, grid, target)
+            H *= grid.k[:, None]
+            H += target[1].T @ -target[2]
+            p_k = march_adjoint(cache, grid, H)
         except NonFiniteSweepError as exc:
-            raise FixedPointError(f"{exc} in fixed-point sweep {sweep}",
-                                  report(sweep, False)) from exc
-        w = apply_B_adjoint(p_k, dp.shapes, dp.M_h)
-        misfit = _tracking_misfit_sq(y_k, dp.yd_terms, dp.M_h, grid)
+            return finish(sweep, f"{exc} in fixed-point sweep {sweep}")
+        w = (p_k.values @ MG[:D].T).T
         history.append(0.5 * misfit + 0.5 * dp.alpha * u.squared_l2())
         crit = np.inf if w_old is None else float(np.max(np.abs(w - w_old)))
         u = clamp_control(grid.t, -w / dp.alpha, dp.box)
         if crit < threshold:
-            return report(sweep, True)
+            return finish(sweep)
         if w_old is not None and not np.isfinite(crit):
-            raise FixedPointError(
-                f"non-finite criterion {crit} at sweep {sweep}",
-                report(sweep, False))
+            return finish(sweep,
+                          f"non-finite criterion {crit} at sweep {sweep}")
         w_old = w
-    raise FixedPointError(
-        f"no convergence in {max_iters} sweeps "
-        f"(last criterion {crit:.3e}, threshold {threshold:.1e})",
-        report(max_iters, False))
+    return finish(max_iters, f"no convergence in {max_iters} sweeps "
+                  f"(last criterion {crit:.3e}, threshold {threshold:.1e})")

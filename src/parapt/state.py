@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import cg
 
 from .fem import interpolate, l2_sq_rows
@@ -79,14 +80,16 @@ def hat_moments(term, grid):
     return mom
 
 
-def _load_vectors(M_h, terms, grid):
-    """Hat-weighted load vectors F_0..F_M."""
-    F = np.zeros((grid.M + 1, M_h.shape[0]))
-    for term in terms:
-        mom = hat_moments(term, grid)
-        w = np.pad(mom[:, 0], (0, 1)) + np.pad(mom[:, 1], (1, 0))
-        F += np.outer(w, M_h @ term.spatial)
-    return F
+def term_moments(terms, grid):
+    """(terms, M, 2) array of the hat_moments of each term."""
+    return np.reshape([hat_moments(t, grid) for t in terms],
+                      (len(terms), grid.M, 2))
+
+
+def mass_rows(M_h, vectors):
+    """(len(vectors), n) array of the rows M v."""
+    return np.reshape([M_h @ v for v in vectors],
+                      (len(vectors), M_h.shape[0]))
 
 
 class StepMatrixCache:
@@ -107,8 +110,9 @@ class StepMatrixCache:
     def __init__(self, M_h, K_h):
         self.M_h = M_h
         self.K_h = K_h
-        low = sp.tril(abs(M_h) + abs(K_h)).tocoo()
-        self._offsets = np.unique(low.row - low.col)
+        self._offsets = np.flatnonzero(np.bincount(np.concatenate(
+            [(c.row - c.col)[(c.row >= c.col) & (c.data != 0)]
+             for c in (M_h.tocoo(), K_h.tocoo())])))
         self._Md, self._Kd = (
             np.array([np.pad(A.diagonal(-d), (0, d)) for d in self._offsets])
             for A in (M_h, K_h))
@@ -129,8 +133,11 @@ class StepMatrixCache:
         return self._factor
 
     def solve(self, k, rhs):
-        """Solve (M + (k/2) K) x = rhs with the factor for step size k."""
-        return cho_solve_banded((self.get(k), True), rhs, check_finite=False)
+        """Solve (M + (k/2) K) x = rhs for step size k; may overwrite rhs."""
+        x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+        return x
 
 
 def _mass_solve(M_h, rhs, x0):
@@ -164,29 +171,47 @@ def cn_march(cache, x, k_explicit, k_implicit, loads, out):
     NonFiniteSweepError if any value written is not finite."""
     M_h, K_h = cache.M_h, cache.K_h
     for i, load in enumerate(loads):
-        rhs = M_h @ x - 0.5 * k_explicit[i] * (K_h @ x) + load
+        rhs = M_h @ x
+        rhs -= 0.5 * k_explicit[i] * (K_h @ x)
+        rhs += load
         x = out[i] = cache.solve(k_implicit[i], rhs)
     finite = np.isfinite(out[:len(loads)]).all(axis=1)
     if not finite.all():
         raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
 
 
-def solve_state(M_h, K_h, grid, terms, y0, cache=None):
-    """March the damped scheme forward; returns the interval-value field.
-    A non-finite value, the terminal one (step M+1) included, raises
-    NonFiniteSweepError."""
-    F = _load_vectors(M_h, terms, grid)
-    cache = cache or StepMatrixCache(M_h, K_h)
+def march_state(cache, grid, mom, MG, y0):
+    """March the damped scheme forward under the loads F_j = sum_i (mom[i,
+    j, 0] + mom[i, j-1, 1]) MG[i].  The terminal row holds the right-hand
+    side of the terminal mass solve: sweeps read interval values only."""
+    F = (np.pad(mom[..., 0], ((0, 0), (0, 1)))
+         + np.pad(mom[..., 1], ((0, 0), (1, 0)))).T @ MG
     k = grid.k
     alphas = np.empty_like(F)
     cn_march(cache, np.asarray(y0, dtype=float),
              np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
     a = alphas[-2]
-    rhs = M_h @ a - 0.5 * k[-1] * (K_h @ a) + F[-1]
-    alphas[-1] = _mass_solve(M_h, rhs, x0=a)
-    if not np.isfinite(alphas[-1]).all():
-        raise NonFiniteSweepError(grid.M + 1)
+    alphas[-1] = cache.M_h @ a - 0.5 * k[-1] * (cache.K_h @ a) + F[-1]
     return PiecewiseConstantField(grid, alphas)
+
+
+def terminal_solve(M_h, y):
+    """Complete a march_state field in place; a non-finite terminal value
+    (step M+1) raises NonFiniteSweepError."""
+    v = y.values
+    v[-1] = _mass_solve(M_h, v[-1], x0=v[-2])
+    if not np.isfinite(v[-1]).all():
+        raise NonFiniteSweepError(len(v))
+    return y
+
+
+def solve_state(M_h, K_h, grid, terms, y0, cache=None):
+    """March the damped scheme forward; returns the interval-value field.
+    A non-finite value, the terminal one (step M+1) included, raises
+    NonFiniteSweepError."""
+    return terminal_solve(M_h, march_state(
+        cache or StepMatrixCache(M_h, K_h), grid, term_moments(terms, grid),
+        mass_rows(M_h, [t.spatial for t in terms]), y0))
 
 
 def state_l2_stability_check(y_k, terms, y0, M_h, grid):

@@ -79,6 +79,13 @@ def reference_step_band(M_h, K_h, k):
     return band
 
 
+def reference_band_offsets(M_h, K_h):
+    """Offsets i - j >= 0 of the sub-diagonals holding a nonzero of M or
+    K, from the sparse lower triangle of |M| + |K|."""
+    low = sp.tril(abs(M_h) + abs(K_h)).tocoo()
+    return np.unique(low.row - low.col)
+
+
 def l1_norm(mesh, u):
     """Lumped vertex-quadrature L1 norm (boundary values are zero)."""
     return float(mesh.lumped_weights @ np.abs(u))

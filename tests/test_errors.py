@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,24 +93,55 @@ def looped_field_error_norms(exact_terms, approx, mesh, M_h):
     return {"L1": l1, "L2": float(np.sqrt(l2sq)), "Linf": linf}
 
 
-@pytest.mark.parametrize("chunk_entries", [None, 7 * 49 * 3, 1])
-def test_field_error_norms_match_looped_form(monkeypatch, chunk_entries):
+@pytest.mark.parametrize("n_terms", [0, 2, 3])
+@pytest.mark.parametrize("chunk_entries", [None, 7 * 49 * 3, 7 * 49 * 7, 1])
+def test_field_error_norms_match_looped_form(monkeypatch, chunk_entries,
+                                             n_terms):
     """Batched norms equal the per-interval loop to 1e-12 relative, with
-    the whole grid in one chunk, three intervals per chunk (the last chunk
-    short) and one interval per chunk."""
+    no, two or three exact terms, and with the whole grid in one chunk,
+    three or seven intervals per chunk, or one.  The piecewise-constant
+    field has 14 intervals and its dual projection 15, so with three per
+    chunk the projection's last chunk ends exactly on its last interval
+    and the field's is short, and with seven the other way round."""
     if chunk_entries is not None:
         monkeypatch.setattr(parapt.errors, "CHUNK_ENTRIES", chunk_entries)
     mesh = build_mesh(9)
     M_h = mass_matrix(mesh)
     rng = np.random.default_rng(8)
-    grid = graded_grid(0.7, 13, 2)
-    g1, g2 = rng.normal(size=(2, M_h.shape[0]))
+    grid = graded_grid(0.7, 14, 2)
+    g1, g2, g3 = rng.normal(size=(3, M_h.shape[0]))
     exact = [(lambda t: np.exp(-np.asarray(t)), g1),
-             (lambda t: np.sin(5.0 * np.asarray(t)), g2)]
+             (lambda t: np.sin(5.0 * np.asarray(t)), g2),
+             (lambda t: 1.0 + np.asarray(t) ** 2, g3)][:n_terms]
     pc = PiecewiseConstantField(grid, rng.normal(size=(grid.M + 1,
                                                         M_h.shape[0])))
+    pc.values[-1] = np.nan        # the terminal value lies on no interval
     for approx in (pc, dual_linear_projection(pc, grid)):
         got = field_error_norms(exact, approx, mesh, M_h)
+        want = looped_field_error_norms(exact, approx, mesh, M_h)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+
+
+def test_field_error_norms_many_intervals_on_one_dof():
+    """With one interior dof the size of the coefficient matrix, not the
+    sampled values, bounds a chunk: 1000 intervals take several chunks,
+    the peak traced memory stays within a few CHUNK_ENTRIES doubles, and
+    the norms still match the per-interval loop."""
+    mesh = build_mesh(3)
+    M_h = mass_matrix(mesh)
+    rng = np.random.default_rng(4)
+    grid = uniform_grid(1.0, 1000)
+    exact = [(np.cos, np.ones(1)), (np.exp, np.full(1, 0.5))]
+    pc = PiecewiseConstantField(grid, rng.normal(size=(grid.M + 1, 1)))
+    for approx in (pc, dual_linear_projection(pc, grid)):
+        tracemalloc.start()
+        try:
+            got = field_error_norms(exact, approx, mesh, M_h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * parapt.errors.CHUNK_ENTRIES
         want = looped_field_error_norms(exact, approx, mesh, M_h)
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-12), key

@@ -4,15 +4,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+import parapt.state
 from parapt.control import (AdmissibleSet, apply_B_adjoint, clamp_control,
-                            constant_control)
+                            constant_control, control_to_rhs_terms)
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import (DiscreteProblem, FixedPointError,
                               _tracking_misfit_sq, discretize_problem,
                               fixed_point_solve)
-from parapt.problems import example1
+from parapt.problems import example1, example2
 from parapt.quadrature import gauss_points, split_at
-from parapt.state import RhsTerm
+from parapt.state import (RhsTerm, mass_rows, separable_sq_norm, solve_state,
+                          term_moments)
 from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
 
 
@@ -97,7 +99,11 @@ def test_tracking_misfit_against_pointwise_quadrature(coarse_setup, rng):
             d = y_k.values[m] - sum(term.temporal(t) * term.spatial
                                     for term in yd)
             want += w * float(d @ (dp.M_h @ d))
-    got = _tracking_misfit_sq(y_k, yd, dp.M_h, grid)
+    Y = y_k.values[:grid.M]
+    target = (separable_sq_norm(yd, dp.M_h, grid),
+              term_moments(yd, grid).sum(axis=2),
+              mass_rows(dp.M_h, [term.spatial for term in yd]))
+    got = _tracking_misfit_sq(Y, (dp.M_h @ Y.T).T, grid, target)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -173,3 +179,51 @@ def test_failure_report_carries_last_state(coarse_setup):
     assert rep.iterations == 2
     assert np.isfinite(rep.final_criterion) and rep.final_criterion > 1e-5
     assert rep.control is not None and rep.adjoint is not None
+
+
+def test_report_state_is_solve_state_of_last_sweep():
+    """The sweeps leave the state's terminal value out and the report gets
+    it once, so the reported state is solve_state at the control of the
+    last sweep, bit for bit.  That control is the one a solve stopped a
+    sweep earlier reports.  Every step of this grid is exactly 1/16, so a
+    fresh factor equals the one the sweeps reuse."""
+    prob = example2()
+    mesh = build_mesh(9)
+    dp = discretize_problem(prob, mesh, mass_matrix(mesh),
+                            stiffness_matrix(mesh))
+    grid = uniform_grid(prob.T, 8)
+    rep = fixed_point_solve(dp, grid)
+    with pytest.raises(FixedPointError) as info:
+        fixed_point_solve(dp, grid, max_iters=rep.iterations - 1)
+    control = info.value.report.control
+    want = solve_state(dp.M_h, dp.K_h, grid,
+                       control_to_rhs_terms(control, dp.shapes)
+                       + dp.source_terms, dp.y0)
+    assert np.array_equal(rep.state.values, want.values)
+    assert np.isfinite(info.value.report.state.values).all()
+
+
+def test_one_terminal_solve_per_fixed_point_solve(coarse_setup, monkeypatch):
+    prob, _, dp = coarse_setup
+    calls = []
+    real = parapt.state._mass_solve
+
+    def counted(M_h, rhs, x0):
+        calls.append(1)
+        return real(M_h, rhs, x0)
+
+    monkeypatch.setattr(parapt.state, "_mass_solve", counted)
+    rep = fixed_point_solve(dp, uniform_grid(prob.T, 5))
+    assert rep.iterations >= 3 and len(calls) == 1
+
+
+def test_non_finite_terminal_value_ends_in_fixed_point_error(coarse_setup,
+                                                             monkeypatch):
+    prob, _, dp = coarse_setup
+    monkeypatch.setattr(parapt.state, "_mass_solve",
+                        lambda M_h, rhs, x0: np.full_like(rhs, np.nan))
+    with pytest.raises(FixedPointError, match="step 6 of a time sweep") \
+            as info:
+        fixed_point_solve(dp, uniform_grid(prob.T, 5))
+    assert not info.value.report.converged
+    assert info.value.report.state is not None

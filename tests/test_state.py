@@ -7,7 +7,9 @@ from scipy.integrate import trapezoid
 from scipy.linalg import cholesky_banded
 
 import parapt.state
-from helpers import dense_state_oracle, reference_step_band
+from helpers import (dense_state_oracle, element_assembly, element_mass,
+                     element_stiffness, reference_band_offsets,
+                     reference_step_band)
 from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
@@ -154,6 +156,20 @@ def test_step_factor_equals_factor_of_sparse_band(nh):
         want = cholesky_banded(reference_step_band(Mh, Kh, k), lower=True,
                                check_finite=False)
         assert np.array_equal(StepMatrixCache(Mh, Kh).get(k), want), k
+
+
+@pytest.mark.parametrize("nh", [3, 4, 17, 65])
+def test_band_offsets_match_sparse_construction(nh):
+    """Offsets read from the CSR structure equal those of the sparse lower
+    triangle of |M| + |K|, also for element-assembled matrices, whose K
+    stores explicit zeros on the SW diagonal (offset n + 1)."""
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    Me = element_assembly(mesh, element_mass)
+    Ke = element_assembly(mesh, element_stiffness)
+    for A, B in ((Mh, Kh), (Me, Ke), (Kh, Kh), (Ke, Ke)):
+        assert np.array_equal(StepMatrixCache(A, B)._offsets,
+                              reference_band_offsets(A, B))
 
 
 def test_step_matrix_not_positive_definite_raises():
