@@ -7,10 +7,9 @@ obtained by exact pointwise clamping, which yields second-order accurate
 controls and post-processed states on first-order state approximations.
 """
 
-from .adjoint import adjoint_stability_check, solve_adjoint
-from .control import (AdmissibleSet, ClampedLinearControl, apply_B_adjoint,
-                      clamp_control, constant_control, control_norms,
-                      control_to_rhs_terms)
+from .adjoint import solve_adjoint
+from .control import (AdmissibleSet, ClampedLinearControl, clamp_control,
+                      constant_control, control_norms, control_to_rhs_terms)
 from .errors import (ConvergenceRow, StudyResult, eoc_table,
                      field_error_norms, run_state_study, run_study)
 from .fem import (StructuredTriMesh, build_mesh, interpolate, mass_matrix,
@@ -20,7 +19,7 @@ from .optimizer import (DiscreteProblem, FixedPointError, SolveReport,
 from .problems import (ProblemSpec, SeparableTerm, example1, example2,
                        manufactured_smooth, self_test)
 from .state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                    hat_moments, solve_state, state_l2_stability_check)
+                    hat_moments, solve_state)
 from .timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                        TimeGrid, dual_linear_projection, graded_grid,
                        make_grid, uniform_grid)

@@ -14,7 +14,6 @@ exclusively through its interval means.
 
 import numpy as np
 
-from .fem import l2_sq_rows
 from .state import StepMatrixCache, cn_march, mass_rows, term_moments
 from .timegrid import PiecewiseLinearField
 
@@ -39,15 +38,3 @@ def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), cache=None):
     if pc_part is not None:
         H += grid.k[:, None] * (M_h @ pc_part.values[:grid.M].T).T
     return march_adjoint(cache or StepMatrixCache(M_h, K_h), grid, H)
-
-
-def adjoint_stability_check(p_k, rhs_norm, M_h, K_h, grid):
-    """(||p_k||_{H1(L2)} + ||grad p_k(0)||) / ||h||, bounded uniformly."""
-    a, b = p_k.values[:-1], p_k.values[1:]
-    # Simpson is exact for the quadratic t -> ||p(t)||^2
-    sq_l2 = grid.k / 6.0 @ (l2_sq_rows(M_h, a) + l2_sq_rows(M_h, b)
-                            + 4.0 * l2_sq_rows(M_h, 0.5 * (a + b)))
-    sq_dt = grid.k @ l2_sq_rows(M_h, (b - a) / grid.k[:, None])
-    h1 = np.sqrt(sq_l2 + sq_dt)
-    grad0 = np.sqrt(max(float(a[0] @ (K_h @ a[0])), 0.0))
-    return (h1 + grad0) / rhs_norm

@@ -84,10 +84,8 @@ def summary_lines(result):
                 rec[f"err_{key}"] = r.err[key]
                 rec[f"eoc_{key}"] = r.eoc[key]
             i = r.level - 1      # per-level lists include failed levels
-            rec["iterations"] = result.iterations[i] \
-                if i < len(result.iterations) else None
-            rec["wall_time_s"] = result.wall_times[i] \
-                if i < len(result.wall_times) else None
+            rec["iterations"] = result.iterations[i]
+            rec["wall_time_s"] = result.wall_times[i]
             lines.append(json.dumps(rec))
     for M, msg in result.failures.items():
         lines.append(json.dumps({"problem": result.problem, "table": None,

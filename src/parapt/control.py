@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_points, split_at
-from .state import RhsTerm, mass_rows
+from .state import RhsTerm
 
 LOWER, INACTIVE, UPPER = -1, 0, 1
 
@@ -125,16 +125,6 @@ def constant_control(grid, values, box):
     values = np.atleast_1d(np.asarray(values, dtype=float))
     nodal = np.repeat(values[:, None], len(grid.t), axis=1)
     return clamp_control(grid.t, nodal, box)
-
-
-def apply_B_adjoint(p_k, shapes, M_h):
-    """Nodal values of t -> ((g_1, p(t)), ..., (g_D, p(t))).
-
-    ``shapes`` are the interior nodal coefficient vectors of the control
-    shape functions g_i; the pairing of a piecewise-linear field is again
-    piecewise linear, so nodal values determine it.  Returns (D, M+1).
-    """
-    return (p_k.values @ mass_rows(M_h, shapes).T).T
 
 
 def control_to_rhs_terms(u, shapes):

@@ -91,8 +91,3 @@ def interpolate(mesh, f):
         bad = np.flatnonzero(~np.isfinite(vals))[0]
         raise ValueError(f"non-finite nodal value at x=({x[bad]}, {y[bad]})")
     return vals
-
-
-def l2_sq_rows(M_h, X):
-    """Squared L2 norms of the rows of X, one field per row."""
-    return np.einsum("mi,mi->m", X, X @ M_h)

@@ -1,14 +1,17 @@
 """Benchmark problems on the unit square with known exact solutions.
 
 All data is separable: sums of theta(t) * sin(p pi x1) * sin(q pi x2).
-Each term carries its temporal derivative and the Laplacian of its
-profile in closed form, so strong residuals of the optimality system can
-be checked to roundoff, and clamp kinks of exact controls are located by
-root finding so quadrature can split there.
+The terms of the exact state and adjoint carry their temporal
+derivatives and the Laplacians of their profiles in closed form, so
+strong residuals of the optimality system can be checked to roundoff, and
+clamp kinks of exact controls are located by root finding so quadrature
+can split there.
 
 Two control-constrained examples (a short-horizon exponential target and
 an oscillatory one) plus an unconstrained manufactured problem used for
-pure convergence studies.
+pure convergence studies.  Each example is given by its optimal state and
+adjoint on the first sine mode, as (y, y', p, p') in time; the control,
+load, target and initial state are derived from them.
 """
 
 from dataclasses import dataclass
@@ -91,6 +94,41 @@ def find_crossings(arg, lo, hi, T, n_scan=4000):
     return out[keep]
 
 
+def _first_mode_example(name, T, alpha, lo, hi, y, dy, p, dp):
+    """Problem whose optimal state is y(t) g1 and optimal adjoint p(t) g1.
+
+    g1 = sin(pi x1) sin(pi x2) has -Laplace g1 = lam g1 with lam = 2 pi^2
+    and (g1, g1) = 1/4, so the optimality system gives the rest: the
+    control u = clamp(-p / (4 alpha)), the load f = y' + lam y - u, the
+    target y_d = y + p' - lam p and the initial state y(0) g1.
+    """
+    lam = 2.0 * np.pi**2
+    g1, lap_g1 = sin_profile(), sin_profile_laplacian()
+    term = lambda theta, dtheta=None, breaks=(): SeparableTerm(
+        theta=theta, dtheta=dtheta, profile=g1, lap_profile=lap_g1,
+        breaks=tuple(breaks))
+
+    u_arg = lambda t: -p(t) / (4.0 * alpha)
+    breaks = find_crossings(u_arg, lo, hi, T)
+    u = lambda t: np.clip(u_arg(t), lo, hi)
+    y_d = lambda t: y(t) + dp(t) - lam * p(t)
+    y0 = float(y(0.0))
+
+    y_terms = [term(y, dy)]
+    exact = ExactSolution(
+        u_args=[u_arg], u_funcs=[u], u_breaks=[breaks],
+        y=y_terms, p=[term(p, dp)],
+        p_rhs=y_terms + [term(lambda t: -y_d(t))],
+        pairing=lambda t: np.atleast_1d(p(t) / 4.0))
+    return ProblemSpec(
+        name=name, T=T, alpha=alpha,
+        uad=AdmissibleSet(np.array([lo]), np.array([hi])), g=[g1],
+        g0=[term(lambda t: dy(t) + lam * y(t)),
+            term(lambda t: -u(t), breaks=breaks)],
+        y0=lambda x, y_: y0 * np.sin(np.pi * x) * np.sin(np.pi * y_),
+        y_d=[term(y_d)], exact=exact)
+
+
 def example1():
     """Short horizon T = 0.1, strong regularization pull, one clamp kink.
 
@@ -99,105 +137,26 @@ def example1():
     """
     a = -np.sqrt(5.0)
     T = 0.1
-    alpha = np.pi**-4
-    lo, hi = -25.0, -1.0
-    g1 = sin_profile()
-    lap_g1 = sin_profile_laplacian()
     E = lambda t: np.exp(a * np.pi**2 * np.asarray(t, dtype=float))
     ET = float(E(T))
     cy = -np.pi**2 / (2.0 + a)
-
-    u_arg = lambda t: -(E(t) - ET) / (4.0 * alpha)
-    breaks = find_crossings(u_arg, lo, hi, T)
-    u = lambda t: np.clip(u_arg(t), lo, hi)
-
-    y_terms = [SeparableTerm(
-        theta=lambda t: cy * E(t),
-        dtheta=lambda t: cy * a * np.pi**2 * E(t),
-        profile=g1, lap_profile=lap_g1)]
-    p_terms = [SeparableTerm(
-        theta=lambda t: E(t) - ET,
-        dtheta=lambda t: a * np.pi**2 * E(t),
-        profile=g1, lap_profile=lap_g1)]
-    cd = (a * a - 5.0) / (2.0 + a) * np.pi**2
-    yd_terms = [SeparableTerm(
-        theta=lambda t: cd * E(t) + 2.0 * np.pi**2 * ET,
-        dtheta=lambda t: cd * a * np.pi**2 * E(t),
-        profile=g1, lap_profile=lap_g1)]
-    g0_terms = [
-        SeparableTerm(theta=lambda t: -np.pi**4 * E(t), profile=g1,
-                      lap_profile=lap_g1),
-        SeparableTerm(theta=lambda t: -u(t), profile=g1, lap_profile=lap_g1,
-                      breaks=tuple(breaks)),
-    ]
-    p_rhs = y_terms + [SeparableTerm(
-        theta=lambda t: -(cd * E(t) + 2.0 * np.pi**2 * ET),
-        profile=g1, lap_profile=lap_g1)]
-
-    exact = ExactSolution(
-        u_args=[u_arg], u_funcs=[u], u_breaks=[breaks],
-        y=y_terms, p=p_terms, p_rhs=p_rhs,
-        pairing=lambda t: np.atleast_1d((E(t) - ET) / 4.0))
-    return ProblemSpec(
-        name="example1", T=T, alpha=alpha,
-        uad=AdmissibleSet(np.array([lo]), np.array([hi])),
-        g=[g1], g0=g0_terms,
-        y0=lambda x, y_: cy * np.sin(np.pi * x) * np.sin(np.pi * y_),
-        y_d=yd_terms, exact=exact)
+    return _first_mode_example(
+        "example1", T, np.pi**-4, -25.0, -1.0,
+        y=lambda t: cy * E(t), dy=lambda t: cy * a * np.pi**2 * E(t),
+        p=lambda t: E(t) - ET, dp=lambda t: a * np.pi**2 * E(t))
 
 
 def example2():
     """Oscillatory problem on T = 0.5 with several active arcs."""
     a = 2.0
     T = 0.5
-    alpha = 1.0
-    lo, hi = 0.2, 0.4
     om = 2.0 * np.pi * a / T
     c2pa = float(np.cos(2.0 * np.pi * a))
-    g1 = sin_profile()
-    lap_g1 = sin_profile_laplacian()
     c = lambda t: np.cos(om * np.asarray(t, dtype=float))
-    s = lambda t: np.sin(om * np.asarray(t, dtype=float))
-
-    u_arg = lambda t: (c2pa - c(t)) / (4.0 * alpha)
-    breaks = find_crossings(u_arg, lo, hi, T)
-    u = lambda t: np.clip(u_arg(t), lo, hi)
-
-    y_terms = [SeparableTerm(
-        theta=c, dtheta=lambda t: -om * s(t),
-        profile=g1, lap_profile=lap_g1)]
-    p_terms = [SeparableTerm(
-        theta=lambda t: c(t) - c2pa,
-        dtheta=lambda t: -om * s(t),
-        profile=g1, lap_profile=lap_g1)]
-    yd_terms = [SeparableTerm(
-        theta=lambda t: (1.0 - 2.0 * np.pi**2) * c(t) - om * s(t)
-        + 2.0 * np.pi**2 * c2pa,
-        dtheta=lambda t: -(1.0 - 2.0 * np.pi**2) * om * s(t)
-        - om * om * c(t),
-        profile=g1, lap_profile=lap_g1)]
-    g0_terms = [
-        SeparableTerm(
-            theta=lambda t: 2.0 * np.pi * (-(a / T) * s(t) + np.pi * c(t)),
-            profile=g1, lap_profile=lap_g1),
-        SeparableTerm(theta=lambda t: -u(t), profile=g1, lap_profile=lap_g1,
-                      breaks=tuple(breaks)),
-    ]
-    p_rhs = y_terms + [SeparableTerm(
-        theta=lambda t: -((1.0 - 2.0 * np.pi**2) * c(t) - om * s(t)
-                          + 2.0 * np.pi**2 * c2pa),
-        profile=g1, lap_profile=lap_g1)]
-
-    exact = ExactSolution(
-        u_args=[u_arg], u_funcs=[u], u_breaks=[breaks],
-        y=y_terms, p=p_terms, p_rhs=p_rhs,
-        pairing=lambda t: np.atleast_1d((c(t) - c2pa) / 4.0))
-    return ProblemSpec(
-        name="example2", T=T, alpha=alpha,
-        uad=AdmissibleSet(np.array([lo]), np.array([hi])),
-        g=[g1], g0=g0_terms,
-        y0=lambda x, y_: np.sin(np.pi * x) * np.sin(np.pi * y_),
-        y_d=yd_terms, exact=exact)
+    ds = lambda t: -om * np.sin(om * np.asarray(t, dtype=float))
+    return _first_mode_example(
+        "example2", T, 1.0, 0.2, 0.4,
+        y=c, dy=ds, p=lambda t: c(t) - c2pa, dp=ds)
 
 
 def manufactured_smooth(T=0.5, q=1):

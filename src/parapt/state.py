@@ -23,7 +23,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import cg
 
-from .fem import interpolate, l2_sq_rows
+from .fem import interpolate
 from .quadrature import gauss_points, split_at
 from .timegrid import PiecewiseConstantField
 
@@ -212,11 +212,3 @@ def solve_state(M_h, K_h, grid, terms, y0, cache=None):
     return terminal_solve(M_h, march_state(
         cache or StepMatrixCache(M_h, K_h), grid, term_moments(terms, grid),
         mass_rows(M_h, [t.spatial for t in terms]), y0))
-
-
-def state_l2_stability_check(y_k, terms, y0, M_h, grid):
-    """Ratio ||y_k|| / (||f|| + ||y0||) in L2(L2); bounded uniformly in k."""
-    num = np.sqrt(float(grid.k @ l2_sq_rows(M_h, y_k.values[:grid.M])))
-    f_norm = np.sqrt(max(separable_sq_norm(terms, M_h, grid), 0.0))
-    y0_norm = np.sqrt(max(float(np.asarray(y0) @ (M_h @ y0)), 0.0))
-    return num / (f_norm + y0_norm)

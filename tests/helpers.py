@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from parapt.quadrature import gauss_points, split_at
+from parapt.state import mass_rows, separable_sq_norm
 from parapt.timegrid import PiecewiseConstantField
 
 GAUSS12 = leggauss(12)
@@ -131,6 +132,41 @@ def l2l2_distance(a, b, M_h, chunk=256):
         total += float(wts[s:s + chunk] @ np.sum(diff * (M_h @ diff.T).T,
                                                  axis=1))
     return float(np.sqrt(max(total, 0.0)))
+
+
+def l2_sq_rows(M_h, X):
+    """Squared L2 norms of the rows of X, one field per row."""
+    return np.einsum("mi,mi->m", X, X @ M_h)
+
+
+def state_l2_stability_check(y_k, terms, y0, M_h, grid):
+    """Ratio ||y_k|| / (||f|| + ||y0||) in L2(L2); bounded uniformly in k."""
+    num = np.sqrt(float(grid.k @ l2_sq_rows(M_h, y_k.values[:grid.M])))
+    f_norm = np.sqrt(max(separable_sq_norm(terms, M_h, grid), 0.0))
+    y0_norm = np.sqrt(max(float(np.asarray(y0) @ (M_h @ y0)), 0.0))
+    return num / (f_norm + y0_norm)
+
+
+def adjoint_stability_check(p_k, rhs_norm, M_h, K_h, grid):
+    """(||p_k||_{H1(L2)} + ||grad p_k(0)||) / ||h||, bounded uniformly."""
+    a, b = p_k.values[:-1], p_k.values[1:]
+    # Simpson is exact for the quadratic t -> ||p(t)||^2
+    sq_l2 = grid.k / 6.0 @ (l2_sq_rows(M_h, a) + l2_sq_rows(M_h, b)
+                            + 4.0 * l2_sq_rows(M_h, 0.5 * (a + b)))
+    sq_dt = grid.k @ l2_sq_rows(M_h, (b - a) / grid.k[:, None])
+    h1 = np.sqrt(sq_l2 + sq_dt)
+    grad0 = np.sqrt(max(float(a[0] @ (K_h @ a[0])), 0.0))
+    return (h1 + grad0) / rhs_norm
+
+
+def apply_B_adjoint(p_k, shapes, M_h):
+    """Nodal values of t -> ((g_1, p(t)), ..., (g_D, p(t))).
+
+    ``shapes`` are the interior nodal coefficient vectors of the control
+    shape functions g_i; the pairing of a piecewise-linear field is again
+    piecewise linear, so nodal values determine it.  Returns (D, M+1).
+    """
+    return (p_k.values @ mass_rows(M_h, shapes).T).T
 
 
 def hat(j, t, nodes):

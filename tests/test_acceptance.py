@@ -10,17 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (GAUSS12, dense_adjoint_oracle, dense_state_oracle,
-                     l2l2_distance, record, total_variation)
-from parapt.adjoint import adjoint_stability_check, solve_adjoint
+from helpers import (GAUSS12, adjoint_stability_check, dense_adjoint_oracle,
+                     dense_state_oracle, l2l2_distance, record,
+                     state_l2_stability_check, total_variation)
+from parapt.adjoint import solve_adjoint
 from parapt.control import AdmissibleSet, clamp_control, control_norms
 from parapt.errors import field_error_norms, run_study
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import discretize_problem, fixed_point_solve
 from parapt.problems import example1, example2, manufactured_smooth
 from parapt.quadrature import gauss_points
-from parapt.state import (RhsTerm, discretize_terms, solve_state,
-                          state_l2_stability_check)
+from parapt.state import RhsTerm, discretize_terms, solve_state
 from parapt.timegrid import (PiecewiseConstantField, dual_linear_projection,
                              make_grid, uniform_grid)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_adjoint_oracle
-from parapt.adjoint import adjoint_stability_check, solve_adjoint
+from helpers import adjoint_stability_check, dense_adjoint_oracle
+from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.quadrature import gauss_points
 from parapt.state import RhsTerm, solve_state

@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
-from helpers import total_variation
+from helpers import apply_B_adjoint, total_variation
 from parapt.control import (INACTIVE, LOWER, UPPER, AdmissibleSet,
-                            apply_B_adjoint, clamp_control, constant_control,
-                            control_norms, control_to_rhs_terms)
+                            clamp_control, constant_control, control_norms,
+                            control_to_rhs_terms)
 from parapt.fem import build_mesh, interpolate, mass_matrix
 from parapt.problems import example1
 from parapt.timegrid import PiecewiseLinearField, uniform_grid

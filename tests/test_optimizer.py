@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import parapt.state
-from parapt.control import (AdmissibleSet, apply_B_adjoint, clamp_control,
-                            constant_control, control_to_rhs_terms)
+from helpers import apply_B_adjoint
+from parapt.control import (AdmissibleSet, clamp_control, constant_control,
+                            control_to_rhs_terms)
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import (DiscreteProblem, FixedPointError,
                               _tracking_misfit_sq, discretize_problem,

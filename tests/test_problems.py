@@ -15,6 +15,44 @@ def test_exact_solutions_satisfy_their_equations(factory):
     assert max(residuals.values()) <= 1e-8
 
 
+@pytest.mark.parametrize("factory", [example1, example2, manufactured_smooth])
+def test_exact_term_derivatives_match_central_differences(factory):
+    """self_test checks the state and adjoint equations with dtheta on both
+    sides, so the derivatives are checked here against their thetas."""
+    spec = factory()
+    h = 1e-6 * spec.T
+    t = np.linspace(0.05, 0.95, 19) * spec.T
+    for term in spec.exact.y + spec.exact.p:
+        fd = (term.theta(t + h) - term.theta(t - h)) / (2.0 * h)
+        d = term.dtheta(t)
+        assert np.max(np.abs(fd - d)) <= 1e-8 * np.max(np.abs(d))
+
+
+def test_example_loads_and_targets_match_paper_formulas():
+    """The derived load (first g0 term) and target of examples 1 and 2
+    against the hand-written formulas of the source paper, relative to the
+    formula's size over the samples."""
+    def check(theta, formula, t):
+        want = formula(t)
+        np.testing.assert_allclose(theta(t), want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    a, T = -np.sqrt(5.0), 0.1
+    E = lambda t: np.exp(a * np.pi**2 * t)
+    cd = (a * a - 5.0) / (2.0 + a) * np.pi**2
+    spec, t = example1(), np.linspace(0.0, T, 11)
+    check(spec.g0[0].theta, lambda t: -np.pi**4 * E(t), t)
+    check(spec.y_d[0].theta, lambda t: cd * E(t) + 2.0 * np.pi**2 * E(T), t)
+
+    a, T = 2.0, 0.5
+    om = 2.0 * np.pi * a / T
+    spec, t = example2(), np.linspace(0.0, T, 11)
+    check(spec.g0[0].theta, lambda t: 2.0 * np.pi * (
+        -(a / T) * np.sin(om * t) + np.pi * np.cos(om * t)), t)
+    check(spec.y_d[0].theta, lambda t: (1.0 - 2.0 * np.pi**2) * np.cos(om * t)
+          - om * np.sin(om * t) + 2.0 * np.pi**2 * np.cos(2.0 * np.pi * a), t)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
 def test_problem_spec_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):

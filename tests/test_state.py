@@ -9,11 +9,11 @@ from scipy.linalg import cholesky_banded
 import parapt.state
 from helpers import (dense_state_oracle, element_assembly, element_mass,
                      element_stiffness, reference_band_offsets,
-                     reference_step_band)
+                     reference_step_band, state_l2_stability_check)
 from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                          hat_moments, solve_state, state_l2_stability_check)
+                          hat_moments, solve_state)
 from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
