@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import problems
-from .errors import TABLES, run_state_study, run_study
+from .errors import run_state_study, run_study
 
 CSV_HEADER = "level,M,k,err_L1,err_L2,err_Linf,eoc_L1,eoc_L2,eoc_Linf"
 DEFAULT_LEVELS = {"1": [10, 20, 40, 80, 160], "2": [8, 16, 32, 64, 128, 256],
@@ -53,10 +53,7 @@ def markdown_lines(result):
     lines = [f"# Convergence tables: {result.problem}", ""]
     lines.append(f"Spatial grid {result.n_per_side} nodes per side, "
                  f"stopping threshold {result.threshold:g}.")
-    for name in TABLES:
-        if name not in result.tables:
-            continue
-        rows = result.tables[name]
+    for name, rows in result.tables.items():
         lines += ["", f"## {name}", ""]
         lines.append("| level | M | k | err L1 | err L2 | err Linf "
                      "| EOC L1 | EOC L2 | EOC Linf |")
@@ -74,10 +71,8 @@ def markdown_lines(result):
 
 def summary_lines(result):
     lines = []
-    for name in TABLES:
-        if name not in result.tables:
-            continue
-        for r in result.tables[name]:
+    for name, rows in result.tables.items():
+        for r in rows:
             rec = {"problem": result.problem, "table": name,
                    "level": r.level, "M": r.M, "k": r.k}
             for key in ("L1", "L2", "Linf"):
@@ -214,21 +209,19 @@ def main(argv=None):
                            threshold=args.threshold, verbose=True)
 
     if args.fmt in ("csv", "both"):
-        for name in TABLES:
-            if name in result.tables:
-                path = out_dir / f"{name}.csv"
-                path.write_text("\n".join(csv_lines(result.tables[name]))
-                                + "\n")
+        for name, rows in result.tables.items():
+            (out_dir / f"{name}.csv").write_text(
+                "\n".join(csv_lines(rows)) + "\n")
     if args.fmt in ("md", "both"):
         (out_dir / "tables.md").write_text(
             "\n".join(markdown_lines(result)) + "\n")
     (out_dir / "summary.jsonl").write_text(
         "\n".join(summary_lines(result)) + "\n")
 
-    for name in TABLES:
-        if name not in result.tables or not result.tables[name]:
+    for name, rows in result.tables.items():
+        if not rows:
             continue
-        last = result.tables[name][-1]
+        last = rows[-1]
         eoc = last.eoc["L2"]
         eoc_txt = "/" if eoc is None else f"{eoc:.2f}"
         print(f"  {name:16s} final L2 error {last.err['L2']:.6e} "

@@ -9,6 +9,7 @@ space is only piecewise constant in time.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,13 +36,6 @@ class AdmissibleSet:
     @property
     def dim(self):
         return len(self.lower)
-
-    def project(self, values):
-        """Pointwise clamp of a (D, ...) array onto the box."""
-        values = np.asarray(values, dtype=float)
-        lo = self.lower.reshape((-1,) + (1,) * (values.ndim - 1))
-        hi = self.upper.reshape((-1,) + (1,) * (values.ndim - 1))
-        return np.minimum(np.maximum(values, lo), hi)
 
 
 @dataclass
@@ -77,15 +71,18 @@ class ClampedLinearControl:
 def clamp_control(times, nodal_values, box):
     """Exact pointwise projection of piecewise-linear data onto the box.
 
-    ``nodal_values`` has shape (D, len(times)).  Crossing locations are
-    solved per piece in closed form; crossings closer than 1e-13*T to an
-    existing node are dropped, and pieces with slope below 1e-14 in
-    relative terms are treated as constant.
+    ``nodal_values`` has shape (D, len(times)), and ``times`` starts at 0.
+    Each piece whose slope exceeds 1e-14 in relative terms meets a bound
+    at a closed-form time, kept if it lies more than 1e-13*T inside the
+    piece.  split_at merges the kept crossings into the nodes, so a double
+    crossing within 1e-13*T counts once.  Each sub-piece is tagged by the
+    line's value at its midpoint, and the breakpoint values are the line
+    clipped to the box.  Active pieces then pin both ends to their bound,
+    a piece's left pin winning over its predecessor's right pin.
     """
     times = np.asarray(times, dtype=float)
     nodal_values = np.atleast_2d(np.asarray(nodal_values, dtype=float))
     T = times[-1]
-    tol_t = 1e-13 * T
     t0, t1, k = times[:-1], times[1:], np.diff(times)
     breaks, vals, tags = [], [], []
     for i, v in enumerate(nodal_values):
@@ -93,29 +90,18 @@ def clamp_control(times, nodal_values, box):
         v0, dv = v[:-1], np.diff(v)
         scale = max(np.max(np.abs(v)), abs(lo), abs(hi), 1.0)
         sloped = np.abs(dv) > 1e-14 * scale
-        # rows: crossing with lo, with hi; a piece missing one holds t1
+        # rows: crossing with lo, with hi
         s = t0 + (np.array([[lo], [hi]]) - v0) * k / np.where(sloped, dv, 1.0)
-        hit = sloped & (t0 + tol_t < s) & (s < t1 - tol_t)
-        s = np.where(hit, s, t1)
-        first, second = s.min(axis=0), s.max(axis=0)
-        # a double crossing within 1e-13*T counts once
-        double = hit.all(axis=0) & (second - first > tol_t)
-        keep = np.column_stack([hit.any(axis=0), double, np.ones_like(double)])
-        br = np.concatenate([times[:1],
-                             np.column_stack([first, second, t1])[keep]])
-        m = np.nonzero(keep)[0]         # parent piece of each sub-piece
-        sa, sb = br[:-1], br[1:]
-        vmid = v0[m] + (0.5 * (sa + sb) - t0[m]) * dv[m] / k[m]
-        vb = v0[m] + (sb - t0[m]) * dv[m] / k[m]
+        hit = sloped & (t0 + 1e-13 * T < s) & (s < t1 - 1e-13 * T)
+        br = split_at(times, s[hit])
+        vmid = np.interp(0.5 * (br[:-1] + br[1:]), times, v)
         up, down = vmid >= hi, vmid <= lo
         active, pin = up | down, np.where(up, hi, lo)
-        va = np.concatenate([[min(max(v[0], lo), hi)], np.where(
-            active, pin, np.minimum(np.maximum(vb, lo), hi))])
-        # active pieces pin both endpoints to the bound exactly; a piece's
-        # left pin wins over its predecessor's right pin
+        va = np.clip(np.interp(br, times, v), lo, hi)
+        va[1:][active] = pin[active]
         va[:-1][active] = pin[active]
         breaks.append(br)
-        vals.append(np.clip(va, lo, hi))
+        vals.append(va)
         tags.append(np.where(up, UPPER, np.where(down, LOWER, INACTIVE))
                     .astype(np.int8))
     return ClampedLinearControl(T, breaks, vals, tags)
@@ -129,22 +115,16 @@ def constant_control(grid, values, box):
 
 def control_to_rhs_terms(u, shapes):
     """One separable load term per control component."""
-    terms = []
-    for i, g in enumerate(shapes):
-        br, va = u.breaks[i], u.vals[i]
-        terms.append(RhsTerm(
-            spatial=np.asarray(g, dtype=float),
-            temporal=lambda t, br=br, va=va: np.interp(t, br, va),
-            breaks=br[1:-1]))
-    return terms
+    return [RhsTerm(spatial=np.asarray(g, dtype=float),
+                    temporal=partial(u.value, i), breaks=u.breaks[i][1:-1])
+            for i, g in enumerate(shapes)]
 
 
 def _as_eval(control):
     """Normalize a control argument to (dim, eval functions, breaks)."""
     if isinstance(control, ClampedLinearControl):
-        funcs = [lambda t, i=i: control.value(i, t)
-                 for i in range(control.dim)]
-        return control.dim, funcs, control.breaks
+        return (control.dim, [partial(control.value, i)
+                              for i in range(control.dim)], control.breaks)
     funcs, breaks = control
     return len(funcs), list(funcs), [np.asarray(b, dtype=float)
                                      for b in breaks]

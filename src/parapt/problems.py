@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .control import AdmissibleSet
+from .quadrature import split_at
 
 
 def sin_profile(p=1, q=1):
@@ -85,13 +86,8 @@ def find_crossings(arg, lo, hi, T, n_scan=4000):
         sign_change = np.flatnonzero(fv[:-1] * fv[1:] < 0.0)
         for j in sign_change:
             out.append(brentq(f, ts[j], ts[j + 1], xtol=1e-15, rtol=1e-15))
-        for j in np.flatnonzero(fv == 0.0):
-            if 0.0 < ts[j] < T:
-                out.append(float(ts[j]))
-    out = np.array(sorted(out))
-    keep = np.concatenate([[True], np.diff(out) > 1e-12 * T]) if out.size \
-        else np.zeros(0, dtype=bool)
-    return out[keep]
+        out.extend(ts[fv == 0.0])
+    return split_at([0.0, T], out, rel_tol=1e-12)[1:-1]
 
 
 def _first_mode_example(name, T, alpha, lo, hi, y, dy, p, dp):
@@ -235,7 +231,8 @@ def self_test(problem, n_t=50, tol=1e-8):
     r_opt = 0.0
     if problem.n_controls:
         w = np.column_stack([ex.pairing(t) for t in ts])     # (D, n_t)
-        proj = problem.uad.project(-w / problem.alpha)
+        proj = np.clip(-w / problem.alpha, problem.uad.lower[:, None],
+                       problem.uad.upper[:, None])
         uu = np.vstack([np.asarray(ex.u_funcs[i](ts), dtype=float)
                         for i in range(problem.n_controls)])
         r_opt = float(np.max(np.abs(proj - uu)))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import cg
@@ -141,13 +140,13 @@ class StepMatrixCache:
 
 
 def _mass_solve(M_h, rhs, x0):
-    """Solve M x = rhs by Jacobi-preconditioned CG to relative residual
-    1e-14.  A non-finite right-hand side gives NaN at once rather than
-    a full budget of iterations on NaN."""
+    """Solve M x = rhs by CG to relative residual 1e-14.  The stencil mass
+    matrix has the constant diagonal h^2/2, so Jacobi would only rescale.
+    A non-finite right-hand side gives NaN at once rather than a full
+    budget of iterations on NaN."""
     if not np.all(np.isfinite(rhs)):
         return np.full_like(rhs, np.nan)
-    x, info = cg(M_h, rhs, x0=x0, rtol=1e-14, atol=0.0,
-                 M=sp.diags(1.0 / M_h.diagonal()))
+    x, info = cg(M_h, rhs, x0=x0, rtol=1e-14, atol=0.0)
     if info:
         raise np.linalg.LinAlgError(
             f"mass-matrix CG stopped at info={info} before rtol 1e-14")

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
+from parapt.control import INACTIVE, LOWER, UPPER, ClampedLinearControl
 from parapt.quadrature import gauss_points, split_at
 from parapt.state import mass_rows, separable_sq_norm
 from parapt.timegrid import PiecewiseConstantField
@@ -167,6 +168,51 @@ def apply_B_adjoint(p_k, shapes, M_h):
     piecewise linear, so nodal values determine it.  Returns (D, M+1).
     """
     return (p_k.values @ mass_rows(M_h, shapes).T).T
+
+
+def reference_clamp(times, nodal_values, box):
+    """Exact pointwise projection of piecewise-linear data onto the box,
+    with its own breakpoint merge and per-parent-piece interpolation.
+
+    Crossing locations are solved per piece in closed form; crossings
+    closer than 1e-13*T to an existing node are dropped, a double crossing
+    within 1e-13*T counts once, and pieces with slope below 1e-14 in
+    relative terms are treated as constant.
+    """
+    times = np.asarray(times, dtype=float)
+    nodal_values = np.atleast_2d(np.asarray(nodal_values, dtype=float))
+    T = times[-1]
+    tol_t = 1e-13 * T
+    t0, t1, k = times[:-1], times[1:], np.diff(times)
+    breaks, vals, tags = [], [], []
+    for i, v in enumerate(nodal_values):
+        lo, hi = box.lower[i], box.upper[i]
+        v0, dv = v[:-1], np.diff(v)
+        scale = max(np.max(np.abs(v)), abs(lo), abs(hi), 1.0)
+        sloped = np.abs(dv) > 1e-14 * scale
+        # rows: crossing with lo, with hi; a piece missing one holds t1
+        s = t0 + (np.array([[lo], [hi]]) - v0) * k / np.where(sloped, dv, 1.0)
+        hit = sloped & (t0 + tol_t < s) & (s < t1 - tol_t)
+        s = np.where(hit, s, t1)
+        first, second = s.min(axis=0), s.max(axis=0)
+        double = hit.all(axis=0) & (second - first > tol_t)
+        keep = np.column_stack([hit.any(axis=0), double, np.ones_like(double)])
+        br = np.concatenate([times[:1],
+                             np.column_stack([first, second, t1])[keep]])
+        m = np.nonzero(keep)[0]         # parent piece of each sub-piece
+        sa, sb = br[:-1], br[1:]
+        vmid = v0[m] + (0.5 * (sa + sb) - t0[m]) * dv[m] / k[m]
+        vb = v0[m] + (sb - t0[m]) * dv[m] / k[m]
+        up, down = vmid >= hi, vmid <= lo
+        active, pin = up | down, np.where(up, hi, lo)
+        va = np.concatenate([[min(max(v[0], lo), hi)], np.where(
+            active, pin, np.minimum(np.maximum(vb, lo), hi))])
+        va[:-1][active] = pin[active]
+        breaks.append(br)
+        vals.append(np.clip(va, lo, hi))
+        tags.append(np.where(up, UPPER, np.where(down, LOWER, INACTIVE))
+                    .astype(np.int8))
+    return ClampedLinearControl(T, breaks, vals, tags)
 
 
 def hat(j, t, nodes):

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_clamp
 from parapt.control import (INACTIVE, LOWER, UPPER, AdmissibleSet,
                             clamp_control)
 
@@ -38,6 +39,30 @@ def clamp_cases(draw):
 
 def max_slope(times, v):
     return float(np.max(np.abs(np.diff(v) / np.diff(times))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(clamp_cases())
+def test_clamp_matches_reference(case):
+    """Against the reference clamp, with its own breakpoint merge and
+    parent-piece interpolation: the same breaks bit for bit, values within
+    2e-15*max(1, max|v|), and the same tags.  The one exception is a tie:
+    a sub-piece whose midpoint value lies within 2 ulp of max(1, max|v|)
+    of a bound, where np.interp and the reference's formula may round to
+    opposite sides of it (a box one ulp wide, say)."""
+    times, v, box = case
+    u, ref = clamp_control(times, v, box), reference_clamp(times, v, box)
+    for i in range(box.dim):
+        lo, hi = box.lower[i], box.upper[i]
+        scale = max(1.0, float(np.max(np.abs(v[i]))))
+        br = u.breaks[i]
+        np.testing.assert_array_equal(br, ref.breaks[i])
+        np.testing.assert_allclose(u.vals[i], ref.vals[i], rtol=0,
+                                   atol=2e-15 * scale)
+        vmid = np.interp(0.5 * (br[:-1] + br[1:]), times, v[i])
+        tie = (np.minimum(abs(vmid - lo), abs(vmid - hi))
+               <= 2 * np.finfo(float).eps * scale)
+        np.testing.assert_array_equal(u.tags[i][~tie], ref.tags[i][~tie])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

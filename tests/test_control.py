@@ -16,13 +16,6 @@ def box(lo, hi):
     return AdmissibleSet(np.array([lo]), np.array([hi]))
 
 
-def test_admissible_set_projection():
-    # one row per control component, clamped against that component's box
-    uad = AdmissibleSet(np.array([-1.0, 0.0]), np.array([2.0, 0.5]))
-    out = uad.project(np.array([[-3.0, 0.2], [1.0, 0.9]]))
-    np.testing.assert_allclose(out, [[-1.0, 0.2], [0.5, 0.5]])
-
-
 def test_clamp_keeps_interior_lines():
     times = np.linspace(0.0, 1.0, 5)
     vals = 0.1 + 0.3 * times
