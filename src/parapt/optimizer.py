@@ -149,7 +149,8 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
             return finish(sweep, f"{exc} in fixed-point sweep {sweep}")
         w = (p_k.values @ MG[:D].T).T
         history.append(0.5 * misfit + 0.5 * dp.alpha * u.squared_l2())
-        crit = np.inf if w_old is None else float(np.max(np.abs(w - w_old)))
+        crit = np.inf if w_old is None else float(
+            np.max(np.abs(w - w_old), initial=0.0))
         u = clamp_control(grid.t, -w / dp.alpha, dp.box)
         if crit < threshold:
             return finish(sweep)

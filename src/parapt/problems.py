@@ -1,17 +1,18 @@
 """Benchmark problems on the unit square with known exact solutions.
 
-All data is separable: sums of theta(t) * sin(p pi x1) * sin(q pi x2).
-The terms of the exact state and adjoint carry their temporal
-derivatives and the Laplacians of their profiles in closed form, so
-strong residuals of the optimality system can be checked to roundoff, and
-clamp kinks of exact controls are located by root finding so quadrature
-can split there.
+All data is separable: sums of theta(t) * sin(q pi x1) * sin(q pi x2).
+Each problem is given by its optimal state and adjoint on one sine mode
+q, as (y, y', p, p') in time; the load, the adjoint right-hand side, the
+target, the clamped control and the initial state are derived from them
+by one constructor.  The terms of the exact state and adjoint carry their
+temporal derivatives and the Laplacians of their profiles in closed form,
+so strong residuals of the optimality system can be checked to roundoff,
+and clamp kinks of exact controls are located by root finding so
+quadrature can split there.
 
 Two control-constrained examples (a short-horizon exponential target and
-an oscillatory one) plus an unconstrained manufactured problem used for
-pure convergence studies.  Each example is given by its optimal state and
-adjoint on the first sine mode, as (y, y', p, p') in time; the control,
-load, target and initial state are derived from them.
+an oscillatory one) plus a manufactured problem with no control component,
+used for pure convergence studies.
 """
 
 from dataclasses import dataclass
@@ -28,11 +29,6 @@ def sin_profile(p=1, q=1):
     return lambda x, y: np.sin(p * np.pi * x) * np.sin(q * np.pi * y)
 
 
-def sin_profile_laplacian(p=1, q=1):
-    lam = (p * p + q * q) * np.pi**2
-    return lambda x, y: -lam * np.sin(p * np.pi * x) * np.sin(q * np.pi * y)
-
-
 @dataclass
 class SeparableTerm:
     """theta(t) * profile(x1, x2) with closed-form derivatives."""
@@ -45,7 +41,6 @@ class SeparableTerm:
 
 @dataclass
 class ExactSolution:
-    u_args: list             # per component: unclamped argument of the clamp
     u_funcs: list            # per component: clamped control, vectorized
     u_breaks: list           # per component: clamp crossing times
     y: list                  # SeparableTerm sum for the optimal state
@@ -71,14 +66,10 @@ class ProblemSpec:
             raise ValueError(f"alpha must be positive and finite, "
                              f"got {self.alpha}")
 
-    @property
-    def n_controls(self):
-        return self.uad.dim
 
-
-def find_crossings(arg, lo, hi, T, n_scan=4000):
+def find_crossings(arg, lo, hi, T):
     """Times in (0, T) where a smooth scalar function meets either bound."""
-    ts = np.linspace(0.0, T, n_scan + 1)
+    ts = np.linspace(0.0, T, 4001)
     out = []
     for bound in (lo, hi):
         f = lambda t: float(arg(t)) - bound
@@ -90,39 +81,42 @@ def find_crossings(arg, lo, hi, T, n_scan=4000):
     return split_at([0.0, T], out, rel_tol=1e-12)[1:-1]
 
 
-def _first_mode_example(name, T, alpha, lo, hi, y, dy, p, dp):
-    """Problem whose optimal state is y(t) g1 and optimal adjoint p(t) g1.
+def _mode_problem(name, T, alpha, box, y, dy, p, dp, q=1):
+    """Problem whose optimal state is y(t) g and optimal adjoint p(t) g.
 
-    g1 = sin(pi x1) sin(pi x2) has -Laplace g1 = lam g1 with lam = 2 pi^2
-    and (g1, g1) = 1/4, so the optimality system gives the rest: the
-    control u = clamp(-p / (4 alpha)), the load f = y' + lam y - u, the
-    target y_d = y + p' - lam p and the initial state y(0) g1.
+    g = sin(q pi x1) sin(q pi x2) has -Laplace g = lam g with
+    lam = 2 q^2 pi^2 and (g, g) = 1/4, so the optimality system gives the
+    rest.  Every component of ``box`` has shape g and control
+    u = clamp(-p / (4 alpha)); the load is f = y' + lam y minus each u, the
+    adjoint right-hand side lam p - p', the target y_d = y + p' - lam p and
+    the initial state y(0) g.
     """
-    lam = 2.0 * np.pi**2
-    g1, lap_g1 = sin_profile(), sin_profile_laplacian()
+    lam = 2.0 * q * q * np.pi**2
+    g = sin_profile(q, q)
     term = lambda theta, dtheta=None, breaks=(): SeparableTerm(
-        theta=theta, dtheta=dtheta, profile=g1, lap_profile=lap_g1,
-        breaks=tuple(breaks))
+        theta=theta, dtheta=dtheta, profile=g,
+        lap_profile=lambda x1, x2: -lam * g(x1, x2), breaks=tuple(breaks))
 
     u_arg = lambda t: -p(t) / (4.0 * alpha)
-    breaks = find_crossings(u_arg, lo, hi, T)
-    u = lambda t: np.clip(u_arg(t), lo, hi)
-    y_d = lambda t: y(t) + dp(t) - lam * p(t)
+    bounds = list(zip(box.lower.tolist(), box.upper.tolist()))
+    u_funcs = [lambda t, lo=lo, hi=hi: np.clip(u_arg(t), lo, hi)
+               for lo, hi in bounds]
+    u_breaks = [find_crossings(u_arg, lo, hi, T) for lo, hi in bounds]
     y0 = float(y(0.0))
 
-    y_terms = [term(y, dy)]
     exact = ExactSolution(
-        u_args=[u_arg], u_funcs=[u], u_breaks=[breaks],
-        y=y_terms, p=[term(p, dp)],
-        p_rhs=y_terms + [term(lambda t: -y_d(t))],
-        pairing=lambda t: np.atleast_1d(p(t) / 4.0))
+        u_funcs=u_funcs, u_breaks=u_breaks, y=[term(y, dy)], p=[term(p, dp)],
+        p_rhs=[term(lambda t: lam * p(t) - dp(t))],
+        pairing=lambda t: np.tile(np.atleast_1d(p(t) / 4.0), box.dim))
     return ProblemSpec(
-        name=name, T=T, alpha=alpha,
-        uad=AdmissibleSet(np.array([lo]), np.array([hi])), g=[g1],
-        g0=[term(lambda t: dy(t) + lam * y(t)),
-            term(lambda t: -u(t), breaks=breaks)],
-        y0=lambda x, y_: y0 * np.sin(np.pi * x) * np.sin(np.pi * y_),
-        y_d=[term(y_d)], exact=exact)
+        name=name, T=T, alpha=alpha, uad=box, g=[g] * box.dim,
+        g0=[term(lambda t: dy(t) + lam * y(t))]
+        + [term(lambda t, u=u: -u(t), breaks=b)
+           for u, b in zip(u_funcs, u_breaks)],
+        # not y0 * g(x1, x2): that rounds differently and moves the
+        # example-1 tables by about 2e-13
+        y0=lambda x1, x2: y0 * np.sin(q * np.pi * x1) * np.sin(q * np.pi * x2),
+        y_d=[term(lambda t: y(t) + dp(t) - lam * p(t))], exact=exact)
 
 
 def example1():
@@ -136,8 +130,8 @@ def example1():
     E = lambda t: np.exp(a * np.pi**2 * np.asarray(t, dtype=float))
     ET = float(E(T))
     cy = -np.pi**2 / (2.0 + a)
-    return _first_mode_example(
-        "example1", T, np.pi**-4, -25.0, -1.0,
+    return _mode_problem(
+        "example1", T, np.pi**-4, AdmissibleSet(-25.0, -1.0),
         y=lambda t: cy * E(t), dy=lambda t: cy * a * np.pi**2 * E(t),
         p=lambda t: E(t) - ET, dp=lambda t: a * np.pi**2 * E(t))
 
@@ -150,48 +144,20 @@ def example2():
     c2pa = float(np.cos(2.0 * np.pi * a))
     c = lambda t: np.cos(om * np.asarray(t, dtype=float))
     ds = lambda t: -om * np.sin(om * np.asarray(t, dtype=float))
-    return _first_mode_example(
-        "example2", T, 1.0, 0.2, 0.4,
+    return _mode_problem(
+        "example2", T, 1.0, AdmissibleSet(0.2, 0.4),
         y=c, dy=ds, p=lambda t: c(t) - c2pa, dp=ds)
 
 
 def manufactured_smooth(T=0.5, q=1):
-    """Unconstrained smooth problem for pure state/adjoint convergence.
-
-    State y = exp(-t) sin(q pi x1) sin(q pi x2) with matching load; the
-    adjoint part p = (T - t) exp(-t) times the same profile solves the
-    backward equation for an explicitly chosen right-hand side.
-    """
-    lam = 2.0 * q * q * np.pi**2
-    gq = sin_profile(q, q)
-    lap_gq = sin_profile_laplacian(q, q)
+    """Smooth problem with no control component, for pure state/adjoint
+    convergence: y = exp(-t) and p = (T - t) exp(-t) on mode q."""
     ex = lambda t: np.exp(-np.asarray(t, dtype=float))
-
-    y_terms = [SeparableTerm(
-        theta=ex, dtheta=lambda t: -ex(t), profile=gq, lap_profile=lap_gq)]
-    # f = dy/dt - lap y = (lam - 1) exp(-t) g_q
-    g0_terms = [SeparableTerm(
-        theta=lambda t: (lam - 1.0) * ex(t), profile=gq,
-        lap_profile=lap_gq)]
-    p_terms = [SeparableTerm(
-        theta=lambda t: (T - np.asarray(t, dtype=float)) * ex(t),
-        dtheta=lambda t: -(1.0 + T - np.asarray(t, dtype=float)) * ex(t),
-        profile=gq, lap_profile=lap_gq)]
-    # h = -dp/dt - lap p = exp(-t) (1 + (1 + lam)(T - t)) g_q
-    p_rhs = [SeparableTerm(
-        theta=lambda t: ex(t) * (1.0 + (1.0 + lam)
-                                 * (T - np.asarray(t, dtype=float))),
-        profile=gq, lap_profile=lap_gq)]
-
-    exact = ExactSolution(u_args=[], u_funcs=[], u_breaks=[],
-                          y=y_terms, p=p_terms, p_rhs=p_rhs,
-                          pairing=lambda t: np.zeros(0))
-    return ProblemSpec(
-        name="manufactured", T=T, alpha=1.0,
-        uad=AdmissibleSet(np.zeros(0), np.zeros(0)),
-        g=[], g0=g0_terms,
-        y0=lambda x, y_: np.sin(q * np.pi * x) * np.sin(q * np.pi * y_),
-        y_d=[], exact=exact)
+    return _mode_problem(
+        "manufactured", T, 1.0, AdmissibleSet([], []),
+        y=ex, dy=lambda t: -ex(t),
+        p=lambda t: (T - np.asarray(t, dtype=float)) * ex(t),
+        dp=lambda t: -(1.0 + T - np.asarray(t, dtype=float)) * ex(t), q=q)
 
 
 def _eval_terms(terms, ts, X, Y, use_dtheta=False, use_lap=False):
@@ -228,14 +194,11 @@ def self_test(problem, n_t=50, tol=1e-8):
     r_adj = (-_eval_terms(ex.p, ts, X, Y, use_dtheta=True)
              - _eval_terms(ex.p, ts, X, Y, use_lap=True) - h)
 
-    r_opt = 0.0
-    if problem.n_controls:
-        w = np.column_stack([ex.pairing(t) for t in ts])     # (D, n_t)
-        proj = np.clip(-w / problem.alpha, problem.uad.lower[:, None],
-                       problem.uad.upper[:, None])
-        uu = np.vstack([np.asarray(ex.u_funcs[i](ts), dtype=float)
-                        for i in range(problem.n_controls)])
-        r_opt = float(np.max(np.abs(proj - uu)))
+    w = np.column_stack([ex.pairing(t) for t in ts])         # (D, n_t)
+    proj = np.clip(-w / problem.alpha, problem.uad.lower[:, None],
+                   problem.uad.upper[:, None])
+    uu = np.array([u(ts) for u in ex.u_funcs], dtype=float).reshape(proj.shape)
+    r_opt = float(np.max(np.abs(proj - uu), initial=0.0))
 
     y00 = _eval_terms(ex.y, np.zeros(1), X, Y)[0]
     r_y0 = float(np.max(np.abs(

@@ -37,7 +37,7 @@ def test_clamp_crossings_converge_to_analytic_switch_point():
     """Nodal sampling of the benchmark's unclamped control must place the
     clamp breakpoint second-order close to the true crossing time."""
     spec = example1()
-    arg = spec.exact.u_args[0]
+    arg = lambda t: -spec.exact.p[0].theta(t) / (4.0 * spec.alpha)
     hi = spec.uad.upper[0]
     t_star = brentq(lambda t: arg(t) - hi, 0.05, 0.099)
     errs = []

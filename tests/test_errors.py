@@ -193,6 +193,17 @@ def test_run_state_study_smoke():
     assert state[1].err["L2"] < state[0].err["L2"]
 
 
+def test_run_study_without_control_matches_state_study():
+    """With no control component there is nothing to iterate: the second
+    sweep meets any threshold, and the state tables are the state study's
+    bit for bit."""
+    res = run_study(manufactured_smooth(), [4, 8], n_per_side=9)
+    ref = run_state_study(manufactured_smooth(), [4, 8], n_per_side=9)
+    assert res.ok and res.iterations == [2, 2]
+    for key in ("state", "state_projected"):
+        assert res.tables[key] == ref.tables[key]
+
+
 def test_run_study_records_solver_failures():
     res = run_study(example1(), [4], n_per_side=9, max_iters=1)
     assert not res.ok

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from parapt.problems import (example1, example2, find_crossings,
                              manufactured_smooth, self_test, sin_profile)
 
 
-@pytest.mark.parametrize("factory", [example1, example2, manufactured_smooth])
+FACTORIES = [example1, example2, manufactured_smooth,
+             pytest.param(partial(manufactured_smooth, q=2),
+                          id="manufactured_smooth_q2")]
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
 def test_exact_solutions_satisfy_their_equations(factory):
     """State equation, adjoint equation, clamp optimality and initial
     condition residuals, sampled over the space-time cylinder."""
@@ -15,7 +21,7 @@ def test_exact_solutions_satisfy_their_equations(factory):
     assert max(residuals.values()) <= 1e-8
 
 
-@pytest.mark.parametrize("factory", [example1, example2, manufactured_smooth])
+@pytest.mark.parametrize("factory", FACTORIES)
 def test_exact_term_derivatives_match_central_differences(factory):
     """self_test checks the state and adjoint equations with dtheta on both
     sides, so the derivatives are checked here against their thetas."""
@@ -63,7 +69,7 @@ def test_example1_setup():
     spec = example1()
     assert spec.T == 0.1
     assert spec.alpha == pytest.approx(np.pi ** -4)
-    assert spec.n_controls == 1
+    assert spec.uad.dim == 1 and len(spec.g) == 1
     np.testing.assert_allclose(spec.uad.lower, [-25.0])
     np.testing.assert_allclose(spec.uad.upper, [-1.0])
     # the upper bound becomes active on a single trailing interval
@@ -77,7 +83,8 @@ def test_example1_control_is_clamped_pairing():
     raw = -spec.exact.pairing(t) / spec.alpha
     clamped = np.clip(raw, spec.uad.lower[0], spec.uad.upper[0])
     np.testing.assert_allclose(spec.exact.u_funcs[0](t), clamped, rtol=1e-12)
-    np.testing.assert_allclose(spec.exact.u_args[0](t), raw, rtol=1e-12)
+    np.testing.assert_allclose(
+        raw, -spec.exact.p[0].theta(t) / (4.0 * spec.alpha), rtol=1e-12)
 
 
 def test_example2_control_feasible_and_oscillating():
@@ -99,13 +106,25 @@ def test_example_initial_states_match_exact_state():
 
 
 def test_manufactured_force_and_terminal_condition():
-    spec = manufactured_smooth()
-    lam = 2.0 * np.pi ** 2
-    for t in (0.0, 0.2, spec.T):
-        ratio = spec.g0[0].theta(t) / spec.exact.y[0].theta(t)
-        assert ratio == pytest.approx(lam - 1.0, rel=1e-12)
-    assert spec.exact.p[0].theta(spec.T) == 0.0
-    assert spec.uad.dim == 0 and spec.n_controls == 0
+    """The derived load, adjoint right-hand side and target against the
+    hand-written formulas for y = exp(-t), p = (T - t) exp(-t) on mode q."""
+    for q in (1, 2):
+        spec = manufactured_smooth(q=q)
+        lam, T = 2.0 * q * q * np.pi ** 2, spec.T
+        t = np.linspace(0.0, T, 11)
+        e = np.exp(-t)
+        assert len(spec.g0) == len(spec.exact.p_rhs) == len(spec.y_d) == 1
+        np.testing.assert_allclose(spec.g0[0].theta(t), (lam - 1.0) * e,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(spec.exact.p_rhs[0].theta(t),
+                                   e * (1.0 + (1.0 + lam) * (T - t)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(spec.y_d[0].theta(t),
+                                   -(1.0 + lam) * (T - t) * e,
+                                   rtol=1e-12, atol=1e-12 * (1.0 + lam) * T)
+        assert spec.exact.p[0].theta(T) == 0.0
+        assert spec.uad.dim == 0 and spec.g == [] and spec.exact.u_funcs == []
+        assert spec.exact.pairing(0.1).shape == (0,)
 
 
 def test_find_crossings_locates_level_sets():
