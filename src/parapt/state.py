@@ -14,13 +14,16 @@ damps rough initial data, which is what rescues second-order accuracy of
 the interval values in the mean-square sense.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .fem import interpolate
 from .quadrature import gauss_points, split_at
@@ -91,39 +94,78 @@ def mass_rows(M_h, vectors):
                       (len(vectors), M_h.shape[0]))
 
 
-class StepMatrixCache:
-    """Banded Cholesky factor of M + (k/2) K for the latest step size.
+def _step_key(k):
+    """k rounded to 12 significant digits; a negative or non-finite k
+    raises LinAlgError."""
+    k = float(k)
+    if not 0.0 <= k < np.inf:
+        raise np.linalg.LinAlgError(
+            f"step size must be finite and non-negative, got {k}")
+    return float(f"{k:.12g}")
 
-    The constructor stores the nonzero sub-diagonals of M and K (offsets
-    0, 1, n and n+1 on an n x n grid of interior nodes) as two small
-    dense arrays.  Each new step size writes m + (k/2) kappa into those
-    rows of a zero LAPACK lower band, in the sparse sum's operation order,
-    and factors it in place.  Only one factor is alive at a time: on a
-    uniform grid every step hits it, and on a graded grid each new step
-    size replaces it, so memory does not grow with the number of
-    intervals.  Step sizes are compared after rounding to 12 significant
-    digits, because the differences of a linspace differ in the last bits;
-    the factor is built from the first step size of its class.
+
+class StepMatrixCache:
+    """Solves with M + (k/2) K, step size by step size.
+
+    The rule has no knob: a step size is factored when a march solves with
+    it at least twice in a row, and a step size solved once is solved by
+    conjugate gradients.  A uniform grid thus builds one factor, at its
+    first step, and serves every step with it; a graded grid, whose step
+    sizes all differ, builds none.  Step sizes are compared after rounding
+    to 12 significant digits, because the differences of a linspace
+    differ in the last bits.
+
+    The CG preconditioner is the exact inverse of a nearby separable
+    operator (Concus and Golub 1973), applied between two orthonormal
+    DST-I transforms of the m x m grid of interior nodes.  Its symbol is
+
+        h^2/12 (6 + 2 c_p + 2 c_q + 2 c_p c_q) + (k/2)(lambda_p + lambda_q)
+
+    with c_p = cos(p pi/(m+1)), lambda_p = 2 - 2 c_p and h = 1/(m+1); where
+    it has 2 c_p c_q, the mass stencil's diagonal neighbours contribute
+    2 cos(theta_p + theta_q).
+
+    The constructor also stores the nonzero sub-diagonals of M and K
+    (offsets 0, 1, m and m+1) as two small dense arrays.  A factor writes
+    their combination M + (k/2) K into those rows of a zero LAPACK lower
+    band, in the sparse sum's operation order, and factors it in place.  Only one
+    factor is alive at a time, so memory does not grow with the number of
+    intervals; it is built from the first step size of its class.
     """
 
     def __init__(self, M_h, K_h):
-        self.M_h = M_h
-        self.K_h = K_h
+        self.n = M_h.shape[0]
+        self._MK = sp.vstack([M_h, K_h], format="csr")
         self._offsets = np.flatnonzero(np.bincount(np.concatenate(
             [(c.row - c.col)[(c.row >= c.col) & (c.data != 0)]
              for c in (M_h.tocoo(), K_h.tocoo())])))
         self._Md, self._Kd = (
             np.array([np.pad(A.diagonal(-d), (0, d)) for d in self._offsets])
             for A in (M_h, K_h))
+        m = math.isqrt(self.n)
+        c = np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+        cp, cq = c[:, None], c[None, :]
+        self._mass_symbol = (6.0 + 2.0 * cp + 2.0 * cq + 2.0 * cp * cq) / (
+            12.0 * (m + 1) ** 2)
+        self._stiffness_symbol = (2.0 - 2.0 * cp) + (2.0 - 2.0 * cq)
         self._key = None
         self._factor = None
 
+    def product(self, x, s):
+        """M x + s K x, from one product with the stacked [M; K]; its rows
+        sum in the order of M @ x and K @ x, so the result is theirs to
+        the last bit."""
+        p = self._MK @ x
+        r = p[:self.n]
+        r += s * p[self.n:]
+        return r
+
     def get(self, k):
         """Lower banded Cholesky factor of M + (k/2) K."""
-        key = float(f"{float(k):.12g}")
+        key = _step_key(k)
         if key != self._key:
             self._factor = None          # release the old factor first
-            band = np.zeros((self._offsets[-1] + 1, self.M_h.shape[0]),
+            band = np.zeros((self._offsets[-1] + 1, self.n),
                             order="F")      # LAPACK layout: factored in place
             band[self._offsets] = self._Md + 0.5 * float(k) * self._Kd
             self._factor = cholesky_banded(band, overwrite_ab=True,
@@ -131,11 +173,38 @@ class StepMatrixCache:
             self._key = key
         return self._factor
 
-    def solve(self, k, rhs):
-        """Solve (M + (k/2) K) x = rhs for step size k; may overwrite rhs."""
+    def solve(self, k, rhs, x0, repeats):
+        """Solve (M + (k/2) K) x = rhs for step size k; may overwrite rhs.
+        ``repeats`` says whether the next solve has the same step size;
+        unless it does, or k's factor is alive, PCG solves from the guess
+        x0."""
+        if _step_key(k) != self._key and not repeats:
+            return self._pcg(float(k), rhs, x0)
         x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+        return x
+
+    def _pcg(self, k, rhs, x0):
+        """DST-preconditioned CG to relative residual 1e-14 in at most
+        100 iterations.  A non-finite right-hand side gives NaN at once."""
+        if not np.all(np.isfinite(rhs)):
+            return np.full_like(rhs, np.nan)
+        symbol = self._mass_symbol + 0.5 * k * self._stiffness_symbol
+
+        def precondition(r):
+            r = dstn(np.reshape(r, symbol.shape), type=1, norm="ortho")
+            return dstn(r / symbol, type=1, norm="ortho").ravel()
+
+        shape = (self.n, self.n)
+        x, info = cg(
+            LinearOperator(shape, lambda x: self.product(x, 0.5 * k),
+                           dtype=float),
+            rhs, x0=x0, rtol=1e-14, atol=0.0, maxiter=100,
+            M=LinearOperator(shape, precondition, dtype=float))
+        if info:
+            raise np.linalg.LinAlgError(
+                f"step CG stopped at info={info} before rtol 1e-14")
         return x
 
 
@@ -165,15 +234,17 @@ class NonFiniteSweepError(ArithmeticError):
 def cn_march(cache, x, k_explicit, k_implicit, loads, out):
     """Crank-Nicolson march: out[i] = x <- (M + k_i/2 K)^-1 ((M - k'_i/2 K)
     x + l_i) for each load l_i, with k'_i = k_explicit[i] and k_i =
-    k_implicit[i]; the StepMatrixCache ``cache`` supplies M, K and the
-    factors.  Writing into the caller's field avoids a copy of it.  Raises
+    k_implicit[i]; the StepMatrixCache ``cache`` supplies the products
+    and the solves, and a PCG solve starts from the previous value.
+    Writing into the caller's field avoids a copy of it.  Raises
     NonFiniteSweepError if any value written is not finite."""
-    M_h, K_h = cache.M_h, cache.K_h
+    keys = [_step_key(k) for k in k_implicit]
     for i, load in enumerate(loads):
-        rhs = M_h @ x
-        rhs -= 0.5 * k_explicit[i] * (K_h @ x)
+        rhs = cache.product(x, -0.5 * k_explicit[i])
         rhs += load
-        x = out[i] = cache.solve(k_implicit[i], rhs)
+        # repeats: the next step, if there is one, has the same key
+        x = out[i] = cache.solve(k_implicit[i], rhs, x,
+                                 keys[i + 1:i + 2] == keys[i:i + 1])
     finite = np.isfinite(out[:len(loads)]).all(axis=1)
     if not finite.all():
         raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
@@ -190,7 +261,7 @@ def march_state(cache, grid, mom, MG, y0):
     cn_march(cache, np.asarray(y0, dtype=float),
              np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
     a = alphas[-2]
-    alphas[-1] = cache.M_h @ a - 0.5 * k[-1] * (cache.K_h @ a) + F[-1]
+    alphas[-1] = cache.product(a, -0.5 * k[-1]) + F[-1]
     return PiecewiseConstantField(grid, alphas)
 
 

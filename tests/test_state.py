@@ -134,6 +134,9 @@ def test_ulp_distinct_steps_share_one_factor(small_space, count_factors):
 
 
 def test_graded_sweep_holds_one_factor(count_factors):
+    """Every step size of a graded grid is solved once in a row, so both
+    sweeps solve by PCG and build no factor, also at the turn from the
+    forward sweep's k_M to the backward sweep's."""
     mesh = build_mesh(9)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     grid = graded_grid(1.0, 16, 2)
@@ -141,9 +144,120 @@ def test_graded_sweep_holds_one_factor(count_factors):
     cache = StepMatrixCache(Mh, Kh)
     y = solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
     solve_adjoint(Mh, Kh, grid, pc_part=y, cache=cache)
-    # forward k_1..k_M, backward k_M (still live) down to k_1
-    assert count_factors["built"] == 2 * grid.M - 1
-    assert count_factors["peak_live"] == 1
+    assert count_factors["built"] == 0
+    assert count_factors["peak_live"] == 0
+
+
+def test_uniform_sweeps_build_one_factor(count_factors):
+    """The first step of a uniform grid repeats in the next one, so it is
+    factored, and that factor serves every step of both sweeps."""
+    mesh = build_mesh(9)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = uniform_grid(1.0, 16)
+    term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
+    cache = StepMatrixCache(Mh, Kh)
+    y = solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    solve_adjoint(Mh, Kh, grid, pc_part=y, cache=cache)
+    assert count_factors["built"] == 1
+
+
+@pytest.fixture
+def count_cg(monkeypatch):
+    """Records (info, iterations) of each CG call in parapt.state."""
+    calls = []
+    real = parapt.state.cg
+
+    def counted(*args, **kwargs):
+        its = []
+        x, info = real(*args, callback=its.append, **kwargs)
+        calls.append((info, len(its)))
+        return x, info
+
+    monkeypatch.setattr(parapt.state, "cg", counted)
+    return calls
+
+
+@pytest.mark.parametrize("nh", [5, 17, 65])
+def test_pcg_step_solve_matches_band(nh, rng, count_factors, count_cg):
+    """A step size solved once goes through PCG, builds no factor, and
+    agrees with the banded solve to 1e-12 relative.  The preconditioner
+    keeps it to at most 25 iterations from a random guess; plain CG takes
+    hundreds at nh=65 and k=2."""
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    n = Mh.shape[0]
+    for i, k in enumerate((0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0)):
+        cache = StepMatrixCache(Mh, Kh)
+        rhs, x0 = rng.normal(size=n), rng.normal(size=n)
+        pcg = cache.solve(k, rhs.copy(), x0, repeats=False)
+        assert count_factors["built"] == i, k
+        band = cache.solve(k, rhs.copy(), x0, repeats=True)
+        assert count_factors["built"] == i + 1, k
+        assert (np.linalg.norm(pcg - band)
+                <= 1e-12 * np.linalg.norm(band)), k
+    assert [status for status, _ in count_cg] == [0] * 5
+    assert max(its for _, its in count_cg) <= 25
+
+
+@pytest.mark.parametrize("nh", [3, 5, 17, 65])
+def test_stacked_product_equals_separate_products(nh, rng):
+    """M x + s K x from the stacked [M; K] is the two sparse products' sum
+    to the last bit, in the forms the sweeps and PCG use."""
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    cache = StepMatrixCache(Mh, Kh)
+    x = rng.normal(size=Mh.shape[0])
+    for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
+        assert np.array_equal(cache.product(x, -0.5 * k),
+                              Mh @ x - 0.5 * k * (Kh @ x)), k
+        assert np.array_equal(cache.product(x, 0.5 * k),
+                              Mh @ x + 0.5 * k * (Kh @ x)), k
+
+
+def test_pcg_non_finite_load_fails_fast_on_graded_grid(count_cg):
+    """A NaN load on the fifth graded interval spoils the hat loads of t_4
+    and t_5, so step 5 of the state sweep is the first bad one; its
+    right-hand side gives NaN without a CG call."""
+    mesh = build_mesh(9)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = graded_grid(1.0, 8, 2)
+    assert 0.25 == grid.t[4] < 0.3 < 0.35 < grid.t[5]
+    term = RhsTerm(np.ones(Mh.shape[0]),
+                   lambda t: np.where((t > 0.3) & (t < 0.35), np.nan, 1.0))
+    with pytest.raises(NonFiniteSweepError) as info:
+        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]))
+    assert info.value.step == 5
+    assert [status for status, _ in count_cg] == [0] * 4
+
+
+def test_pcg_gives_up_after_100_iterations(count_cg, monkeypatch):
+    """Without its preconditioner CG needs hundreds of iterations on the
+    larger graded steps at nh=65; the step solve stops at 100 and raises
+    LinAlgError."""
+    real = parapt.state.cg
+    monkeypatch.setattr(parapt.state, "cg",
+                        lambda A, b, **kw: real(A, b, **{**kw, "M": None}))
+    mesh = build_mesh(65)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = graded_grid(1.0, 8, 2)
+    term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
+    with pytest.raises(np.linalg.LinAlgError, match="info=100"):
+        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]))
+    assert count_cg[-1] == (100, 100)
+
+
+@pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_bad_step_size_raises_before_solving(k, count_cg):
+    """A negative or non-finite step size raises LinAlgError on both paths
+    before any arithmetic, so no division by a vanishing symbol warns."""
+    mesh = build_mesh(9)
+    cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
+    rhs = np.ones(cache.n)
+    for repeats in (False, True):
+        with np.errstate(all="raise"), pytest.raises(
+                np.linalg.LinAlgError, match="finite and non-negative"):
+            cache.solve(k, rhs, np.zeros(cache.n), repeats)
+    assert count_cg == []
 
 
 @pytest.mark.parametrize("nh", [3, 5, 17, 65])
