@@ -4,7 +4,7 @@ Each sweep solves the state equation for the current control, solves the
 adjoint equation driven by the tracking misfit, and replaces the control
 by the exact clamp of -(1/alpha) times the adjoint pairing.  The sweep is
 a contraction for the regularizations considered here, and the iteration
-stops once the adjoint pairing moves less than the threshold in the
+stops once the adjoint pairing moves by at most the threshold in the
 maximum norm over grid nodes and components.  Because the stopping test
 compares consecutive pairings, the count never drops below two sweeps.
 """
@@ -125,7 +125,7 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
         """The report, its state completed here; raises FixedPointError."""
         try:
             if y_k is not None:
-                terminal_solve(M_h, y_k)
+                terminal_solve(cache, y_k)
         except NonFiniteSweepError as exc:
             failure = failure or f"{exc} after fixed-point sweep {sweep}"
         rep = SolveReport(u, y_k, p_k, sweep, crit, failure is None,
@@ -152,7 +152,7 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
         crit = np.inf if w_old is None else float(
             np.max(np.abs(w - w_old), initial=0.0))
         u = clamp_control(grid.t, -w / dp.alpha, dp.box)
-        if crit < threshold:
+        if crit <= threshold:
             return finish(sweep)
         if w_old is not None and not np.isfinite(crit):
             return finish(sweep,

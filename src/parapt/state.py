@@ -11,7 +11,8 @@ produces the terminal value:
 
 where F_m integrates the load against the hat at t_m.  The first step
 damps rough initial data, which is what rescues second-order accuracy of
-the interval values in the mean-square sense.
+the interval values in the mean-square sense.  Every solve, the terminal
+one included as the step size k = 0, goes through StepMatrixCache.solve.
 """
 
 import math
@@ -111,9 +112,10 @@ class StepMatrixCache:
     it at least twice in a row, and a step size solved once is solved by
     conjugate gradients.  A uniform grid thus builds one factor, at its
     first step, and serves every step with it; a graded grid, whose step
-    sizes all differ, builds none.  Step sizes are compared after rounding
-    to 12 significant digits, because the differences of a linspace
-    differ in the last bits.
+    sizes all differ, builds none.  The terminal mass solve is the step
+    size k = 0, solved once, so it is a CG solve under the mass symbol.
+    Step sizes are compared after rounding to 12 significant digits,
+    because the differences of a linspace differ in the last bits.
 
     The CG preconditioner is the exact inverse of a nearby separable
     operator (Concus and Golub 1973), applied between two orthonormal
@@ -208,20 +210,6 @@ class StepMatrixCache:
         return x
 
 
-def _mass_solve(M_h, rhs, x0):
-    """Solve M x = rhs by CG to relative residual 1e-14.  The stencil mass
-    matrix has the constant diagonal h^2/2, so Jacobi would only rescale.
-    A non-finite right-hand side gives NaN at once rather than a full
-    budget of iterations on NaN."""
-    if not np.all(np.isfinite(rhs)):
-        return np.full_like(rhs, np.nan)
-    x, info = cg(M_h, rhs, x0=x0, rtol=1e-14, atol=0.0)
-    if info:
-        raise np.linalg.LinAlgError(
-            f"mass-matrix CG stopped at info={info} before rtol 1e-14")
-    return x
-
-
 class NonFiniteSweepError(ArithmeticError):
     """A time sweep produced a non-finite value; ``step`` is the first
     such step, counted from 1 in the order of the march."""
@@ -265,11 +253,12 @@ def march_state(cache, grid, mom, MG, y0):
     return PiecewiseConstantField(grid, alphas)
 
 
-def terminal_solve(M_h, y):
-    """Complete a march_state field in place; a non-finite terminal value
-    (step M+1) raises NonFiniteSweepError."""
+def terminal_solve(cache, y):
+    """Complete a march_state field in place by the k = 0 solve of the
+    StepMatrixCache ``cache``, from the last interval value; a non-finite
+    terminal value (step M+1) raises NonFiniteSweepError."""
     v = y.values
-    v[-1] = _mass_solve(M_h, v[-1], x0=v[-2])
+    v[-1] = cache.solve(0.0, v[-1], v[-2], repeats=False)
     if not np.isfinite(v[-1]).all():
         raise NonFiniteSweepError(len(v))
     return y
@@ -279,6 +268,7 @@ def solve_state(M_h, K_h, grid, terms, y0, cache=None):
     """March the damped scheme forward; returns the interval-value field.
     A non-finite value, the terminal one (step M+1) included, raises
     NonFiniteSweepError."""
-    return terminal_solve(M_h, march_state(
-        cache or StepMatrixCache(M_h, K_h), grid, term_moments(terms, grid),
+    cache = cache or StepMatrixCache(M_h, K_h)
+    return terminal_solve(cache, march_state(
+        cache, grid, term_moments(terms, grid),
         mass_rows(M_h, [t.spatial for t in terms]), y0))

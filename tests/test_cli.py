@@ -117,10 +117,15 @@ def test_main_usage_errors(tmp_path):
     assert not (tmp_path / "x" / "summary.jsonl").exists()
 
 
-def test_main_reports_solver_failure(tmp_path):
+def test_main_reports_solver_failure(tmp_path, monkeypatch):
+    """A level whose fixed-point budget runs out is a solver failure."""
+    real = parapt.errors.fixed_point_solve
+    monkeypatch.setattr(parapt.errors, "fixed_point_solve",
+                        lambda dp, grid, **kw: real(dp, grid, **{
+                            **kw, "max_iters": 1}))
     out = tmp_path / "f"
     rc = main(["--example", "1", "--levels", "4", "--nh", "9",
-               "--threshold", "0", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 2
     last = (out / "summary.jsonl").read_text().splitlines()[-1]
     assert "failure" in json.loads(last)

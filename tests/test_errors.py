@@ -204,6 +204,14 @@ def test_run_study_without_control_matches_state_study():
         assert res.tables[key] == ref.tables[key]
 
 
+def test_run_study_zero_threshold_without_control():
+    """Without control the second sweep repeats the first's pairing
+    exactly, so even a threshold of 0 is met there."""
+    res = run_study(manufactured_smooth(), [4, 8], n_per_side=9,
+                    threshold=0.0)
+    assert res.ok and res.iterations == [2, 2]
+
+
 def test_run_study_records_solver_failures():
     res = run_study(example1(), [4], n_per_side=9, max_iters=1)
     assert not res.ok

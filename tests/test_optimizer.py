@@ -4,7 +4,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import parapt.state
 from helpers import apply_B_adjoint
 from parapt.control import (AdmissibleSet, clamp_control, constant_control,
                             control_to_rhs_terms)
@@ -14,8 +13,8 @@ from parapt.optimizer import (DiscreteProblem, FixedPointError,
                               fixed_point_solve)
 from parapt.problems import example1, example2
 from parapt.quadrature import gauss_points, split_at
-from parapt.state import (RhsTerm, mass_rows, separable_sq_norm, solve_state,
-                          term_moments)
+from parapt.state import (RhsTerm, StepMatrixCache, mass_rows,
+                          separable_sq_norm, solve_state, term_moments)
 from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
 
 
@@ -151,6 +150,17 @@ def test_reported_pair_satisfies_clamp_consistency(coarse_setup):
     assert np.abs(w2 - w).max() <= 1e-5
 
 
+def test_zero_threshold_stops_at_an_exact_fixed_point():
+    """Example 2 at nh=9 and M=4 repeats its pairing exactly within a few
+    sweeps, so a threshold of 0 is met rather than running out of
+    sweeps."""
+    prob, mesh = example2(), build_mesh(9)
+    dp = discretize_problem(prob, mesh, mass_matrix(mesh),
+                            stiffness_matrix(mesh))
+    rep = fixed_point_solve(dp, uniform_grid(prob.T, 4), threshold=0.0)
+    assert rep.converged and rep.final_criterion == 0.0
+
+
 def test_variational_inequality_for_reported_pair(coarse_setup, rng):
     """alpha*u + B'p paired against v - u is nonnegative for admissible v:
     the discrete first-order optimality condition."""
@@ -205,15 +215,17 @@ def test_report_state_is_solve_state_of_last_sweep():
 
 
 def test_one_terminal_solve_per_fixed_point_solve(coarse_setup, monkeypatch):
+    """The terminal solve is the one k = 0 step solve."""
     prob, _, dp = coarse_setup
     calls = []
-    real = parapt.state._mass_solve
+    real = StepMatrixCache.solve
 
-    def counted(M_h, rhs, x0):
-        calls.append(1)
-        return real(M_h, rhs, x0)
+    def counted(self, k, rhs, x0, repeats):
+        if k == 0:
+            calls.append(1)
+        return real(self, k, rhs, x0, repeats)
 
-    monkeypatch.setattr(parapt.state, "_mass_solve", counted)
+    monkeypatch.setattr(StepMatrixCache, "solve", counted)
     rep = fixed_point_solve(dp, uniform_grid(prob.T, 5))
     assert rep.iterations >= 3 and len(calls) == 1
 
@@ -221,8 +233,11 @@ def test_one_terminal_solve_per_fixed_point_solve(coarse_setup, monkeypatch):
 def test_non_finite_terminal_value_ends_in_fixed_point_error(coarse_setup,
                                                              monkeypatch):
     prob, _, dp = coarse_setup
-    monkeypatch.setattr(parapt.state, "_mass_solve",
-                        lambda M_h, rhs, x0: np.full_like(rhs, np.nan))
+    real = StepMatrixCache.solve
+    monkeypatch.setattr(
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats:
+        np.full_like(rhs, np.nan) if k == 0 else real(self, k, rhs, x0,
+                                                      repeats))
     with pytest.raises(FixedPointError, match="step 6 of a time sweep") \
             as info:
         fixed_point_solve(dp, uniform_grid(prob.T, 5))

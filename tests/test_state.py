@@ -177,7 +177,7 @@ def count_cg(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("nh", [5, 17, 65])
+@pytest.mark.parametrize("nh", [3, 4, 5, 17, 65])
 def test_pcg_step_solve_matches_band(nh, rng, count_factors, count_cg):
     """A step size solved once goes through PCG, builds no factor, and
     agrees with the banded solve to 1e-12 relative.  The preconditioner
@@ -319,9 +319,14 @@ def test_non_finite_load_names_first_bad_step(small_space):
 
 
 def test_non_finite_terminal_value_fails_fast(small_space, monkeypatch):
+    """The terminal solve is the k = 0 step solve; NaN from it is step
+    M+1."""
     _, Mh, Kh, _, _ = small_space
-    monkeypatch.setattr(parapt.state, "_mass_solve",
-                        lambda M_h, rhs, x0: np.full_like(rhs, np.nan))
+    real = StepMatrixCache.solve
+    monkeypatch.setattr(
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats:
+        np.full_like(rhs, np.nan) if k == 0 else real(self, k, rhs, x0,
+                                                      repeats))
     grid = uniform_grid(1.0, 4)
     with pytest.raises(NonFiniteSweepError) as info:
         solve_state(Mh, Kh, grid, [], np.ones(Mh.shape[0]))
