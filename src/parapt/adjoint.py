@@ -26,15 +26,10 @@ def march_adjoint(cache, grid, H):
     return PiecewiseLinearField(grid.t.copy(), betas)
 
 
-def solve_adjoint(M_h, K_h, grid, pc_part=None, terms=(), cache=None):
-    """March backward from beta_M = 0; returns the nodal-value field.
-
-    The right-hand side is the sum of an optional piecewise-constant field
-    (the discrete state in the optimality system) and separable terms (the
-    tracking target, negated by the caller).
-    """
+def solve_adjoint(M_h, K_h, grid, terms=(), cache=None):
+    """March backward from beta_M = 0 under the separable ``terms``;
+    returns the nodal-value field.  The optimizer builds its loads, state
+    part included, itself and calls march_adjoint."""
     H = term_moments(terms, grid).sum(axis=2).T @ mass_rows(
         M_h, [t.spatial for t in terms])
-    if pc_part is not None:
-        H += grid.k[:, None] * (M_h @ pc_part.values[:grid.M].T).T
     return march_adjoint(cache or StepMatrixCache(M_h, K_h), grid, H)

@@ -129,13 +129,13 @@ def _exact_pairs(mesh, terms):
     return [(t.theta, interpolate(mesh, t.profile)) for t in terms]
 
 
-def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
-    """Set-up and level loop shared by the studies: ``solve(dp, mesh,
-    grid)`` returns (control or None, state, adjoint, sweeps).  A level
-    whose solve raises FixedPointError, NonFiniteSweepError or LinAlgError
-    is recorded in ``failures`` (sweeps None unless the error carries a
-    report) and the next level runs.  Every table in ``tables`` is built,
-    even empty."""
+def _study(problem, levels, n_per_side, threshold, tables, setup, verbose):
+    """Set-up and level loop shared by the studies: ``setup(dp, mesh)``,
+    called once, returns ``solve(grid)``, which returns (control or None,
+    state, adjoint, sweeps).  A level whose solve raises FixedPointError,
+    NonFiniteSweepError or LinAlgError is recorded in ``failures`` (sweeps
+    None unless the error carries a report) and the next level runs.
+    Every table in ``tables`` is built, even empty."""
     if any(M < 2 for M in levels) or any(
             a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels need at least 2 time intervals each and "
@@ -146,6 +146,7 @@ def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
     ex = problem.exact
     y_pairs = _exact_pairs(mesh, ex.y)
     p_pairs = _exact_pairs(mesh, ex.p)
+    solve = setup(dp, mesh)
 
     entries = {key: [] for key in tables}
     result = StudyResult(problem.name, n_per_side, threshold, list(levels))
@@ -153,7 +154,7 @@ def _study(problem, levels, n_per_side, threshold, tables, solve, verbose):
         grid = uniform_grid(problem.T, M)
         tic = time.perf_counter()
         try:
-            u, y, p, sweeps = solve(dp, mesh, grid)
+            u, y, p, sweeps = solve(grid)
         except (FixedPointError, NonFiniteSweepError,
                 np.linalg.LinAlgError) as exc:
             result.failures[M] = f"{type(exc).__name__}: {exc}"
@@ -189,11 +190,13 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
     state, post-processed state, and adjoint errors with observed orders.
     Solver failures are recorded per level and remaining levels continue.
     """
-    def solve(dp, mesh, grid):
-        report = fixed_point_solve(dp, grid, threshold=threshold,
-                                   max_iters=max_iters)
-        return report.control, report.state, report.adjoint, report.iterations
-    return _study(problem, levels, n_per_side, threshold, TABLES, solve,
+    def setup(dp, mesh):
+        def solve(grid):
+            r = fixed_point_solve(dp, grid, threshold=threshold,
+                                  max_iters=max_iters)
+            return r.control, r.state, r.adjoint, r.iterations
+        return solve
+    return _study(problem, levels, n_per_side, threshold, TABLES, setup,
                   verbose)
 
 
@@ -204,12 +207,16 @@ def run_state_study(problem, levels, n_per_side=65, verbose=False):
     chosen right-hand side) per level; tabulates raw, post-processed and
     adjoint errors.  Used for manufactured problems.
     """
-    def solve(dp, mesh, grid):
-        cache = StepMatrixCache(dp.M_h, dp.K_h)
-        y_k = solve_state(dp.M_h, dp.K_h, grid, dp.source_terms, dp.y0,
-                          cache=cache)
+    def setup(dp, mesh):
         h_terms = discretize_terms(mesh, problem.exact.p_rhs)
-        p_k = solve_adjoint(dp.M_h, dp.K_h, grid, terms=h_terms, cache=cache)
-        return None, y_k, p_k, 0
-    return _study(problem, levels, n_per_side, 0.0, TABLES[1:], solve,
+
+        def solve(grid):
+            cache = StepMatrixCache(dp.M_h, dp.K_h)
+            y_k = solve_state(dp.M_h, dp.K_h, grid, dp.source_terms, dp.y0,
+                              cache=cache)
+            p_k = solve_adjoint(dp.M_h, dp.K_h, grid, terms=h_terms,
+                                cache=cache)
+            return None, y_k, p_k, 0
+        return solve
+    return _study(problem, levels, n_per_side, 0.0, TABLES[1:], setup,
                   verbose)

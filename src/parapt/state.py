@@ -127,23 +127,18 @@ class StepMatrixCache:
     it has 2 c_p c_q, the mass stencil's diagonal neighbours contribute
     2 cos(theta_p + theta_q).
 
-    The constructor also stores the nonzero sub-diagonals of M and K
-    (offsets 0, 1, m and m+1) as two small dense arrays.  A factor writes
-    their combination M + (k/2) K into those rows of a zero LAPACK lower
-    band, in the sparse sum's operation order, and factors it in place.  Only one
-    factor is alive at a time, so memory does not grow with the number of
-    intervals; it is built from the first step size of its class.
+    The cache keeps M, K, the two symbols and its one live factor, nothing
+    derived from them: each study's cache factors at most once (a uniform
+    grid at its first step, a graded grid never), so nothing is
+    precomputed for a factor.  A factor writes the lower triangle of the
+    sparse sum M + (k/2) K into a zero LAPACK lower band and factors it in
+    place.  Only one factor is alive at a time, so memory does not grow
+    with the number of intervals.
     """
 
     def __init__(self, M_h, K_h):
         self.n = M_h.shape[0]
-        self._MK = sp.vstack([M_h, K_h], format="csr")
-        self._offsets = np.flatnonzero(np.bincount(np.concatenate(
-            [(c.row - c.col)[(c.row >= c.col) & (c.data != 0)]
-             for c in (M_h.tocoo(), K_h.tocoo())])))
-        self._Md, self._Kd = (
-            np.array([np.pad(A.diagonal(-d), (0, d)) for d in self._offsets])
-            for A in (M_h, K_h))
+        self._M, self._K = M_h, K_h
         m = math.isqrt(self.n)
         c = np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
         cp, cq = c[:, None], c[None, :]
@@ -154,12 +149,11 @@ class StepMatrixCache:
         self._factor = None
 
     def product(self, x, s):
-        """M x + s K x, from one product with the stacked [M; K]; its rows
-        sum in the order of M @ x and K @ x, so the result is theirs to
-        the last bit."""
-        p = self._MK @ x
-        r = p[:self.n]
-        r += s * p[self.n:]
+        """M x + s K x, the sum of the two sparse products; at s = 0 it is
+        M x alone, so K x is neither formed nor able to spread a NaN."""
+        r = self._M @ x
+        if s:
+            r += s * (self._K @ x)
         return r
 
     def get(self, k):
@@ -167,9 +161,11 @@ class StepMatrixCache:
         key = _step_key(k)
         if key != self._key:
             self._factor = None          # release the old factor first
-            band = np.zeros((self._offsets[-1] + 1, self.n),
+            low = sp.tril(self._M + 0.5 * float(k) * self._K).tocoo()
+            offset = low.row - low.col
+            band = np.zeros((offset.max(initial=0) + 1, self.n),
                             order="F")      # LAPACK layout: factored in place
-            band[self._offsets] = self._Md + 0.5 * float(k) * self._Kd
+            band[offset, low.col] = low.data
             self._factor = cholesky_banded(band, overwrite_ab=True,
                                            lower=True, check_finite=False)
             self._key = key

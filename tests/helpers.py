@@ -70,24 +70,6 @@ def element_lumped_weights(mesh):
     return w[mesh.interior]
 
 
-def reference_step_band(M_h, K_h, k):
-    """M + (k/2) K in LAPACK lower band storage, built from the sparse sum:
-    ab[i - j, j] = A[i, j] for every stored entry on or below the
-    diagonal."""
-    low = sp.tril(M_h + 0.5 * float(k) * K_h).tocoo()
-    offset = low.row - low.col
-    band = np.zeros((offset.max(initial=0) + 1, low.shape[0]), order="F")
-    band[offset, low.col] = low.data
-    return band
-
-
-def reference_band_offsets(M_h, K_h):
-    """Offsets i - j >= 0 of the sub-diagonals holding a nonzero of M or
-    K, from the sparse lower triangle of |M| + |K|."""
-    low = sp.tril(abs(M_h) + abs(K_h)).tocoo()
-    return np.unique(low.row - low.col)
-
-
 def l1_norm(mesh, u):
     """Lumped vertex-quadrature L1 norm (boundary values are zero)."""
     return float(mesh.lumped_weights @ np.abs(u))

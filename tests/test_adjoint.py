@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg
 
 from helpers import adjoint_stability_check, dense_adjoint_oracle
-from parapt.adjoint import solve_adjoint
+from parapt.adjoint import march_adjoint, solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.quadrature import gauss_points
-from parapt.state import RhsTerm, solve_state
-from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
+from parapt.state import RhsTerm, StepMatrixCache, solve_state
+from parapt.timegrid import make_grid, uniform_grid
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +38,15 @@ def test_matches_dense_block_solve(small_space, rng, M):
 
 
 def test_piecewise_constant_part_matches_dense(small_space, rng):
-    """The tracking-term pathway (a whole piecewise-constant trajectory as
-    right-hand side) agrees with the dense solve fed interval loads."""
+    """The optimizer's tracking-term pathway (the interval loads k_m M y_m
+    of a piecewise-constant trajectory, marched by march_adjoint) agrees
+    with the dense solve fed the same loads."""
     _, Mh, Kh, Md, Kd = small_space
     n = Mh.shape[0]
     grid = make_grid([0.0, 0.25, 0.45, 0.9, 1.0])
     vals = rng.normal(size=(grid.M + 1, n))
-    pc = PiecewiseConstantField(grid, vals)
-    p = solve_adjoint(Mh, Kh, grid, pc_part=pc)
+    H = grid.k[:, None] * (Mh @ vals[:grid.M].T).T
+    p = march_adjoint(StepMatrixCache(Mh, Kh), grid, H)
     loads = [grid.k[m] * (Md @ vals[m]) for m in range(grid.M)]
     ref = dense_adjoint_oracle(Md, Kd, grid, loads=loads)
     assert np.abs(p.values - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -3,13 +3,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import trapezoid
 from scipy.linalg import cholesky_banded
 
 import parapt.state
 from helpers import (dense_state_oracle, element_assembly, element_mass,
-                     element_stiffness, reference_band_offsets,
-                     reference_step_band, state_l2_stability_check)
+                     element_stiffness, state_l2_stability_check)
 from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
@@ -142,8 +142,8 @@ def test_graded_sweep_holds_one_factor(count_factors):
     grid = graded_grid(1.0, 16, 2)
     term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
     cache = StepMatrixCache(Mh, Kh)
-    y = solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
-    solve_adjoint(Mh, Kh, grid, pc_part=y, cache=cache)
+    solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
     assert count_factors["built"] == 0
     assert count_factors["peak_live"] == 0
 
@@ -156,8 +156,8 @@ def test_uniform_sweeps_build_one_factor(count_factors):
     grid = uniform_grid(1.0, 16)
     term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
     cache = StepMatrixCache(Mh, Kh)
-    y = solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
-    solve_adjoint(Mh, Kh, grid, pc_part=y, cache=cache)
+    solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
     assert count_factors["built"] == 1
 
 
@@ -200,9 +200,10 @@ def test_pcg_step_solve_matches_band(nh, rng, count_factors, count_cg):
 
 
 @pytest.mark.parametrize("nh", [3, 5, 17, 65])
-def test_stacked_product_equals_separate_products(nh, rng):
-    """M x + s K x from the stacked [M; K] is the two sparse products' sum
-    to the last bit, in the forms the sweeps and PCG use."""
+def test_product_equals_sum_of_sparse_products(nh, rng):
+    """M x + s K x is the two sparse products' sum to the last bit, in the
+    forms the sweeps and PCG use; at s = 0 it is M x even where K x is
+    NaN, so a K x multiplied by zero is never formed."""
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     cache = StepMatrixCache(Mh, Kh)
@@ -212,6 +213,9 @@ def test_stacked_product_equals_separate_products(nh, rng):
                               Mh @ x - 0.5 * k * (Kh @ x)), k
         assert np.array_equal(cache.product(x, 0.5 * k),
                               Mh @ x + 0.5 * k * (Kh @ x)), k
+    K_nan = Kh.copy()
+    K_nan.data[:] = np.nan
+    assert np.array_equal(StepMatrixCache(Mh, K_nan).product(x, 0.0), Mh @ x)
 
 
 def test_pcg_non_finite_load_fails_fast_on_graded_grid(count_cg):
@@ -260,30 +264,32 @@ def test_bad_step_size_raises_before_solving(k, count_cg):
     assert count_cg == []
 
 
-@pytest.mark.parametrize("nh", [3, 5, 17, 65])
-def test_step_factor_equals_factor_of_sparse_band(nh):
-    """The band written from the stored diagonals is the sparse sum's band
-    entry for entry, so the factors agree to the last bit."""
-    mesh = build_mesh(nh)
-    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
-    for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
-        want = cholesky_banded(reference_step_band(Mh, Kh, k), lower=True,
-                               check_finite=False)
-        assert np.array_equal(StepMatrixCache(Mh, Kh).get(k), want), k
-
-
-@pytest.mark.parametrize("nh", [3, 4, 17, 65])
-def test_band_offsets_match_sparse_construction(nh):
-    """Offsets read from the CSR structure equal those of the sparse lower
-    triangle of |M| + |K|, also for element-assembled matrices, whose K
-    stores explicit zeros on the SW diagonal (offset n + 1)."""
+@pytest.mark.parametrize("nh", [3, 4, 5, 17, 65])
+def test_step_factor_equals_factor_of_sparse_band(nh, rng):
+    """The factor's band holds the lower Cholesky factor L of M + (k/2) K:
+    entry for entry to 1e-13 relative against a dense factorization up to
+    nh = 17, and through L L^T x = (M + (k/2) K) x at nh = 65.  nh = 4 is
+    the smallest mesh with all four offsets 0, 1, m and m+1; the
+    element-assembled K stores explicit zeros on the SW diagonal."""
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     Me = element_assembly(mesh, element_mass)
     Ke = element_assembly(mesh, element_stiffness)
+    n = Mh.shape[0]
+    x = rng.normal(size=n)
     for A, B in ((Mh, Kh), (Me, Ke), (Kh, Kh), (Ke, Ke)):
-        assert np.array_equal(StepMatrixCache(A, B)._offsets,
-                              reference_band_offsets(A, B))
+        for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
+            S = A + 0.5 * k * B
+            band = StepMatrixCache(A, B).get(k)
+            L = sp.diags([row[:n - d] for d, row in enumerate(band)],
+                         -np.arange(len(band)), shape=(n, n))
+            if nh <= 17:
+                want = scipy.linalg.cholesky(S.toarray(), lower=True)
+                assert (np.abs(L.toarray() - want).max()
+                        <= 1e-13 * np.abs(want).max()), k
+            else:
+                assert (np.linalg.norm(L @ (L.T @ x) - S @ x)
+                        <= 1e-13 * np.linalg.norm(S @ x)), k
 
 
 def test_step_matrix_not_positive_definite_raises():
