@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dstn
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import LinearOperator, cg
@@ -113,38 +112,49 @@ class StepMatrixCache:
     conjugate gradients.  A uniform grid thus builds one factor, at its
     first step, and serves every step with it; a graded grid, whose step
     sizes all differ, builds none.  The terminal mass solve is the step
-    size k = 0, solved once, so it is a CG solve under the mass symbol.
-    Step sizes are compared after rounding to 12 significant digits,
-    because the differences of a linspace differ in the last bits.
+    size k = 0, solved once, so it is a CG solve.  Step sizes are compared
+    after rounding to 12 significant digits, because the differences of a
+    linspace differ in the last bits.
 
-    The CG preconditioner is the exact inverse of a nearby separable
-    operator (Concus and Golub 1973), applied between two orthonormal
-    DST-I transforms of the m x m grid of interior nodes.  Its symbol is
+    CG runs in the orthonormal DST-I basis S of the m x m grid X of
+    interior nodes (S symmetric, S S = I), where M + sK is exact and cheap.
+    With U the 1-D shift, Sym = (U + U')/2 and Asym = (U - U')/2, the mass
+    stencil's diagonal neighbours are U X U' + U' X U = 2 (Sym X Sym + Asym
+    X Asym'), S Sym S = diag(c_p) and S K S is lambda_p + lambda_q, so
 
-        h^2/12 (6 + 2 c_p + 2 c_q + 2 c_p c_q) + (k/2)(lambda_p + lambda_q)
+        S (M + sK) S : X^ -> symbol * X^ + A X^ A',   A = sqrt(2 w) S Asym S
 
-    with c_p = cos(p pi/(m+1)), lambda_p = 2 - 2 c_p and h = 1/(m+1); where
-    it has 2 c_p c_q, the mass stencil's diagonal neighbours contribute
-    2 cos(theta_p + theta_q).
+    with w = h^2/12, h = 1/(m+1), c_p = cos(p pi/(m+1)), lambda_p = 2 - 2 c_p
+    and the symbol of the separable operator of Concus and Golub (1973)
 
-    The cache keeps M, K, the two symbols and its one live factor, nothing
-    derived from them: each study's cache factors at most once (a uniform
-    grid at its first step, a graded grid never), so nothing is
-    precomputed for a factor.  A factor writes the lower triangle of the
-    sparse sum M + (k/2) K into a zero LAPACK lower band and factors it in
-    place.  Only one factor is alive at a time, so memory does not grow
-    with the number of intervals.
+        w (6 + 2 c_p + 2 c_q + 2 c_p c_q) + s (lambda_p + lambda_q),
+
+    which, divided out, preconditions CG.  A is a dense m x m skew matrix.
+
+    The cache keeps M, K, S, A, the two symbols and its one live factor:
+    each study's cache factors at most once (a uniform grid at its first
+    step, a graded grid never), so nothing is precomputed for a factor.  A
+    factor writes the lower triangle of the sparse sum M + (k/2) K into a
+    zero LAPACK lower band and factors it in place.  Only one factor is
+    alive at a time, so memory does not grow with the number of intervals.
     """
 
     def __init__(self, M_h, K_h):
         self.n = M_h.shape[0]
         self._M, self._K = M_h, K_h
         m = math.isqrt(self.n)
-        c = np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+        j = np.arange(1, m + 1)
+        c = np.cos(j * np.pi / (m + 1))
         cp, cq = c[:, None], c[None, :]
-        self._mass_symbol = (6.0 + 2.0 * cp + 2.0 * cq + 2.0 * cp * cq) / (
-            12.0 * (m + 1) ** 2)
+        w = 1.0 / (12.0 * (m + 1) ** 2)
+        self._mass_symbol = w * (6.0 + 2.0 * cp + 2.0 * cq + 2.0 * cp * cq)
         self._stiffness_symbol = (2.0 - 2.0 * cp) + (2.0 - 2.0 * cq)
+        # sine arguments reduced modulo 2 pi in integers, so S keeps the
+        # identity to rounding at every m
+        self._S = math.sqrt(2.0 / (m + 1)) * np.sin(
+            np.outer(j, j) % (2 * m + 2) * np.pi / (m + 1))
+        rows = np.pad(self._S, ((1, 1), (0, 0)))  # 2 Asym S: rows i-1 - i+1
+        self._A = math.sqrt(0.5 * w) * (self._S @ (rows[:-2] - rows[2:]))
         self._key = None
         self._factor = None
 
@@ -184,25 +194,51 @@ class StepMatrixCache:
         return x
 
     def _pcg(self, k, rhs, x0):
-        """DST-preconditioned CG to relative residual 1e-14 in at most
-        100 iterations.  A non-finite right-hand side gives NaN at once."""
+        """CG on S (M + (k/2) K) S, preconditioned by 1/symbol, to relative
+        residual 1e-14 in at most 100 iterations.  S is orthogonal, so this
+        is CG on M + (k/2) K under the separable solve, turned.  A
+        non-finite right-hand side gives NaN at once.  CG never multiplies
+        by the cache's M and K, so one true residual r through them checks
+        x: it raises LinAlgError when the backward error ||r|| / (||rhs||
+        + ||M + (k/2) K|| ||x||) is above 1e-12, as it does on a grid that
+        is not square.  A bound on ||r|| / ||rhs|| alone would fail correct
+        solves, since rounding x costs ||M + (k/2) K|| ||x|| eps, which is
+        thousands of times eps ||rhs|| on fine meshes."""
+        S, A = self._S, self._A
+        m = len(S)
+        if m * m != self.n:
+            raise np.linalg.LinAlgError(
+                f"step PCG needs an m x m grid of nodes, got n={self.n}")
         if not np.all(np.isfinite(rhs)):
             return np.full_like(rhs, np.nan)
         symbol = self._mass_symbol + 0.5 * k * self._stiffness_symbol
 
-        def precondition(r):
-            r = dstn(np.reshape(r, symbol.shape), type=1, norm="ortho")
-            return dstn(r / symbol, type=1, norm="ortho").ravel()
+        def turn(x):                     # S X S, its own inverse
+            return (S @ np.reshape(x, (m, m)) @ S).ravel()
+
+        def operator(x):
+            x = np.reshape(x, (m, m))
+            return (symbol * x + A @ x @ A.T).ravel()
 
         shape = (self.n, self.n)
-        x, info = cg(
-            LinearOperator(shape, lambda x: self.product(x, 0.5 * k),
-                           dtype=float),
-            rhs, x0=x0, rtol=1e-14, atol=0.0, maxiter=100,
-            M=LinearOperator(shape, precondition, dtype=float))
+        inverse = 1.0 / symbol.ravel()
+        y, info = cg(
+            LinearOperator(shape, operator, dtype=float),
+            turn(rhs), x0=turn(x0), rtol=1e-14, atol=0.0, maxiter=100,
+            M=LinearOperator(shape, lambda r: inverse * r.ravel(),
+                             dtype=float))
         if info:
             raise np.linalg.LinAlgError(
                 f"step CG stopped at info={info} before rtol 1e-14")
+        x = turn(y)
+        # normwise backward error: max(symbol) is ||M + (k/2) K|| to 1%
+        residual = np.linalg.norm(rhs - self.product(x, 0.5 * k))
+        scale = (np.linalg.norm(rhs)
+                 + symbol.max(initial=0.0) * np.linalg.norm(x))
+        if residual > 1e-12 * scale:
+            raise np.linalg.LinAlgError(
+                f"step PCG residual {residual / scale:.1e} in backward "
+                "error, above 1e-12: M + (k/2) K is not the mesh's")
         return x
 
 

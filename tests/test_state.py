@@ -11,9 +11,10 @@ import parapt.state
 from helpers import (dense_state_oracle, element_assembly, element_mass,
                      element_stiffness, state_l2_stability_check)
 from parapt.adjoint import solve_adjoint
-from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
+from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
+from parapt.problems import manufactured_smooth
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                          hat_moments, solve_state)
+                          discretize_terms, hat_moments, solve_state)
 from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
@@ -177,7 +178,7 @@ def count_cg(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("nh", [3, 4, 5, 17, 65])
+@pytest.mark.parametrize("nh", [3, 4, 5, 17, 65, 129])
 def test_pcg_step_solve_matches_band(nh, rng, count_factors, count_cg):
     """A step size solved once goes through PCG, builds no factor, and
     agrees with the banded solve to 1e-12 relative.  The preconditioner
@@ -248,6 +249,74 @@ def test_pcg_gives_up_after_100_iterations(count_cg, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="info=100"):
         solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]))
     assert count_cg[-1] == (100, 100)
+
+
+def graded_manufactured_sweeps(nh, M):
+    """State and adjoint sweeps of the manufactured problem on a graded
+    grid of M intervals (exponent 2) at mesh size nh; returns the grid."""
+    prob = manufactured_smooth()
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = graded_grid(prob.T, M, 2)
+    solve_state(Mh, Kh, grid, discretize_terms(mesh, prob.g0),
+                interpolate(mesh, prob.y0))
+    solve_adjoint(Mh, Kh, grid,
+                  terms=discretize_terms(mesh, prob.exact.p_rhs))
+    return grid
+
+
+def test_graded_manufactured_sweeps_keep_their_cg_iterations(count_cg):
+    """Turning CG into the DST-I basis keeps its Krylov iteration: the
+    state and adjoint sweeps of the manufactured problem on a 32-interval
+    graded grid at nh=65 take 306 iterations in all, at most 10 a solve."""
+    grid = graded_manufactured_sweeps(65, 32)
+    assert len(count_cg) == 2 * grid.M + 1          # and the terminal solve
+    assert all(status == 0 for status, _ in count_cg)
+    assert sum(its for _, its in count_cg) <= 321   # 306 plus 5%
+    assert max(its for _, its in count_cg) <= 10
+
+
+def test_pcg_guard_passes_correct_solves_on_fine_mesh(count_cg):
+    """Rounding x costs ||M + (k/2) K|| ||x|| eps of residual, and ||rhs||
+    is only about h^2 ||x||: on the 8-interval graded manufactured state
+    sweep at nh=129 a correct solve reaches 1.1e-12 relative to rhs.  The
+    guard bounds the backward error, so both sweeps pass."""
+    grid = graded_manufactured_sweeps(129, 8)
+    assert [status for status, _ in count_cg] == [0] * (2 * grid.M + 1)
+
+
+@pytest.mark.parametrize("mass", [lambda M, K: 2 * M, lambda M, K: K],
+                         ids=["2M", "K"])
+def test_pcg_residual_guard_rejects_other_matrices(mass, rng):
+    """The PCG operator is the mesh's M + (k/2) K in the DST-I basis, not
+    the cache's matrices, so a cache on (2 M, K) or (K, K) must not return
+    the solution of the mesh's system: one true residual through the
+    cache's own M and K raises.  The band solves with those matrices."""
+    mesh = build_mesh(17)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    A = mass(Mh, Kh)
+    for k in (0.0, 0.013, 2.0):
+        cache = StepMatrixCache(A, Kh)
+        rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            cache.solve(k, rhs.copy(), x0, repeats=False)
+        x = cache.solve(k, rhs.copy(), x0, repeats=True)
+        assert (np.linalg.norm(rhs - (A + 0.5 * k * Kh) @ x)
+                <= 1e-12 * np.linalg.norm(rhs)), k
+
+
+def test_pcg_on_non_square_grid_raises(count_cg):
+    """n = 5 is no m x m grid: PCG raises LinAlgError naming n before any
+    reshape or CG call; the band still solves."""
+    cache = StepMatrixCache(sp.identity(5, format="csr"),
+                            sp.identity(5, format="csr"))
+    rhs = np.arange(5.0)
+    with pytest.raises(np.linalg.LinAlgError, match="n=5"):
+        cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=False)
+    assert count_cg == []
+    np.testing.assert_allclose(
+        cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=True), rhs / 1.25,
+        rtol=1e-15)
 
 
 @pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
