@@ -30,6 +30,8 @@ class AdmissibleSet:
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound vectors must have equal length")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 
@@ -72,7 +74,8 @@ def clamp_control(times, nodal_values, box):
     """Exact pointwise projection of piecewise-linear data onto the box.
 
     ``nodal_values`` has shape (D, len(times)), and ``times`` starts at 0.
-    Each piece whose slope exceeds 1e-14 in relative terms meets a bound
+    Each piece whose slope exceeds 1e-14 relative to the data (not to the
+    bounds, which may be infinite or far away) meets a bound
     at a closed-form time, kept if it lies more than 1e-13*T inside the
     piece.  split_at merges the kept crossings into the nodes, so a double
     crossing within 1e-13*T counts once.  Each sub-piece is tagged by the
@@ -88,8 +91,7 @@ def clamp_control(times, nodal_values, box):
     for i, v in enumerate(nodal_values):
         lo, hi = box.lower[i], box.upper[i]
         v0, dv = v[:-1], np.diff(v)
-        scale = max(np.max(np.abs(v)), abs(lo), abs(hi), 1.0)
-        sloped = np.abs(dv) > 1e-14 * scale
+        sloped = np.abs(dv) > 1e-14 * max(np.max(np.abs(v)), 1.0)
         # rows: crossing with lo, with hi
         s = t0 + (np.array([[lo], [hi]]) - v0) * k / np.where(sloped, dv, 1.0)
         hit = sloped & (t0 + 1e-13 * T < s) & (s < t1 - 1e-13 * T)

@@ -182,8 +182,7 @@ def _study(problem, levels, n_per_side, threshold, tables, setup, verbose):
     return result
 
 
-def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
-              verbose=False):
+def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
     """Optimal-control convergence study over a list of interval counts.
 
     Solves the full fixed-point problem per level and tabulates control,
@@ -192,8 +191,7 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, max_iters=100,
     """
     def setup(dp, mesh):
         def solve(grid):
-            r = fixed_point_solve(dp, grid, threshold=threshold,
-                                  max_iters=max_iters)
+            r = fixed_point_solve(dp, grid, threshold=threshold)
             return r.control, r.state, r.adjoint, r.iterations
         return solve
     return _study(problem, levels, n_per_side, threshold, TABLES, setup,

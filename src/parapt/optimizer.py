@@ -32,6 +32,8 @@ class FixedPointError(RuntimeError):
 
 @dataclass
 class SolveReport:
+    """Outcome of fixed_point_solve.  ``record`` is its StepMatrixCache's
+    record: every factor and step solve, the k = 0 terminal solve too."""
     control: object          # ClampedLinearControl
     state: object            # PiecewiseConstantField
     adjoint: object          # PiecewiseLinearField
@@ -40,6 +42,7 @@ class SolveReport:
     converged: bool
     objective: float
     objective_history: list = field(default_factory=list)
+    record: list = field(default_factory=list)  # StepMatrixCache.record
 
 
 def _tracking_misfit_sq(Y, MY, grid, target):
@@ -129,7 +132,8 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
         except NonFiniteSweepError as exc:
             failure = failure or f"{exc} after fixed-point sweep {sweep}"
         rep = SolveReport(u, y_k, p_k, sweep, crit, failure is None,
-                          history[-1] if history else np.nan, history)
+                          history[-1] if history else np.nan, history,
+                          cache.record)
         if failure:
             raise FixedPointError(failure, rep)
         return rep

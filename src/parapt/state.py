@@ -137,6 +137,11 @@ class StepMatrixCache:
     factor writes the lower triangle of the sparse sum M + (k/2) K into a
     zero LAPACK lower band and factors it in place.  Only one factor is
     alive at a time, so memory does not grow with the number of intervals.
+
+    ``record`` lists, in order, ("factor", k, None) per factor built,
+    ("band", k, None) per banded solve and ("pcg", k, n) per PCG solve of n
+    CG iterations (None when a non-finite rhs skips CG); a solve that fails
+    after CG is recorded before it raises.
     """
 
     def __init__(self, M_h, K_h):
@@ -157,6 +162,7 @@ class StepMatrixCache:
         self._A = math.sqrt(0.5 * w) * (self._S @ (rows[:-2] - rows[2:]))
         self._key = None
         self._factor = None
+        self.record = []
 
     def product(self, x, s):
         """M x + s K x, the sum of the two sparse products; at s = 0 it is
@@ -179,6 +185,7 @@ class StepMatrixCache:
             self._factor = cholesky_banded(band, overwrite_ab=True,
                                            lower=True, check_finite=False)
             self._key = key
+            self.record.append(("factor", float(k), None))
         return self._factor
 
     def solve(self, k, rhs, x0, repeats):
@@ -189,6 +196,7 @@ class StepMatrixCache:
         if _step_key(k) != self._key and not repeats:
             return self._pcg(float(k), rhs, x0)
         x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
+        self.record.append(("band", float(k), None))
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x
@@ -210,6 +218,7 @@ class StepMatrixCache:
             raise np.linalg.LinAlgError(
                 f"step PCG needs an m x m grid of nodes, got n={self.n}")
         if not np.all(np.isfinite(rhs)):
+            self.record.append(("pcg", k, None))
             return np.full_like(rhs, np.nan)
         symbol = self._mass_symbol + 0.5 * k * self._stiffness_symbol
 
@@ -222,11 +231,13 @@ class StepMatrixCache:
 
         shape = (self.n, self.n)
         inverse = 1.0 / symbol.ravel()
+        iterates = []                    # one entry per CG iteration
         y, info = cg(
             LinearOperator(shape, operator, dtype=float),
             turn(rhs), x0=turn(x0), rtol=1e-14, atol=0.0, maxiter=100,
             M=LinearOperator(shape, lambda r: inverse * r.ravel(),
-                             dtype=float))
+                             dtype=float), callback=iterates.append)
+        self.record.append(("pcg", k, len(iterates)))
         if info:
             raise np.linalg.LinAlgError(
                 f"step CG stopped at info={info} before rtol 1e-14")

@@ -39,23 +39,24 @@ def make_grid(t):
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or len(t) < 2:
         raise ValueError("need at least two time nodes")
+    if not (t[0] == 0.0 and np.all(t[1:] > t[:-1]) and t[-1] < np.inf):
+        raise ValueError("time nodes must start at 0, increase strictly "
+                         "and be finite")
     k = np.diff(t)
-    if np.any(k <= 0) or t[0] != 0.0:
-        raise ValueError("time nodes must start at 0 and increase strictly")
     mid = 0.5 * (t[:-1] + t[1:])
     dual = np.concatenate([[0.0], mid, [t[-1]]])
     return TimeGrid(float(t[-1]), t, k, mid, dual, float(k.max()))
 
 
 def uniform_grid(T, M):
-    if M < 1 or T <= 0:
-        raise ValueError("need M >= 1 and T > 0")
+    if not (M >= 1 and 0 < T < np.inf):
+        raise ValueError("need M >= 1 and finite T > 0")
     return make_grid(np.linspace(0.0, T, M + 1))
 
 
 def graded_grid(T, M, gamma):
     """Nodes T*(m/M)**gamma; gamma = 1 recovers the uniform grid."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("grading exponent must be positive")
     m = np.arange(M + 1) / M
     return make_grid(T * m**gamma)

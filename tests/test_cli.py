@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import parapt.errors
+import parapt.problems
 from parapt.cli import (CSV_HEADER, csv_lines, main, markdown_lines,
                         read_config, summary_lines)
 from parapt.errors import ConvergenceRow, StudyResult
@@ -164,6 +165,26 @@ def test_main_selftest(capsys):
     assert main(["--selftest"]) == 0
     got = capsys.readouterr().out
     assert "[PASS] example1" in got and "[PASS] manufactured" in got
+
+
+def test_main_selftest_failure_exits_2(capsys, monkeypatch):
+    def fail(spec):
+        raise AssertionError("self-test residuals too large")
+
+    monkeypatch.setattr(parapt.problems, "self_test", fail)
+    assert main(["--selftest"]) == 2
+    got = capsys.readouterr().out
+    assert "[FAIL] example1: self-test residuals too large" in got
+    assert "[PASS]" not in got
+
+
+def test_main_uncreatable_out_exits_1(tmp_path, capsys):
+    """An --out below a regular file cannot be created, even by root."""
+    (tmp_path / "f").write_text("")
+    out = tmp_path / "f" / "out"
+    assert main(["--example", "1", "--levels", "4", "--nh", "9",
+                 "--out", str(out)]) == 1
+    assert f"cannot write to {out}" in capsys.readouterr().err
 
 
 def test_main_flags_override_config(tmp_path, capsys):

@@ -156,3 +156,42 @@ def test_squared_l2_closed_form():
     times = np.array([0.0, 1.0])
     u = clamp_control(times, np.array([[0.0, 1.0]]), box(-5.0, 5.0))
     assert u.squared_l2() == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    (np.nan, 1.0, "NaN"),
+    (0.0, [np.nan], "NaN"),
+    ([0.0, 0.0], [1.0], "equal length"),
+    (1.0, 0.0, "exceeds"),
+], ids=["nan-lower", "nan-upper", "unequal-length", "crossed"])
+def test_admissible_set_rejects_bad_bounds(lower, upper, message):
+    """A NaN bound used to be accepted and turn every clamped value into
+    NaN."""
+    with pytest.raises(ValueError, match=message):
+        AdmissibleSet(lower, upper)
+
+
+@pytest.mark.parametrize("hi", [1e16, np.inf])
+def test_clamp_keeps_crossings_with_a_far_bound(hi):
+    """The hat -1, 2, -1 on nodes 0, 1/2, 1 crosses 0 at 1/6 and 5/6.  The
+    flat-piece cut-off scales with the data alone, so an upper bound far
+    above it, or none, does not turn both pieces flat and lose those
+    crossings."""
+    u = clamp_control(np.array([0.0, 0.5, 1.0]),
+                      np.array([[-1.0, 2.0, -1.0]]), box(0.0, hi))
+    np.testing.assert_allclose(u.breaks[0], [0.0, 1 / 6, 0.5, 5 / 6, 1.0],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(u.vals[0], [0.0, 0.0, 2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(u.tags[0],
+                                  [LOWER, INACTIVE, INACTIVE, LOWER])
+    assert u.value(0, 1 / 6) == 0.0
+    assert u.value(0, 1 / 3) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_control_norms_reject_different_component_counts():
+    times = np.array([0.0, 1.0])
+    one = clamp_control(times, np.zeros((1, 2)), box(0.0, 1.0))
+    two = clamp_control(times, np.zeros((2, 2)),
+                        AdmissibleSet(np.zeros(2), np.ones(2)))
+    with pytest.raises(ValueError, match="different component counts"):
+        control_norms(one, two, 1.0)

@@ -212,8 +212,12 @@ def test_run_study_zero_threshold_without_control():
     assert res.ok and res.iterations == [2, 2]
 
 
-def test_run_study_records_solver_failures():
-    res = run_study(example1(), [4], n_per_side=9, max_iters=1)
+def test_run_study_records_solver_failures(monkeypatch):
+    real = parapt.errors.fixed_point_solve
+    monkeypatch.setattr(parapt.errors, "fixed_point_solve",
+                        lambda dp, grid, **kw: real(dp, grid, **{
+                            **kw, "max_iters": 1}))
+    res = run_study(example1(), [4], n_per_side=9)
     assert not res.ok
     assert list(res.failures) == [4] and res.iterations == [1]
     assert set(res.tables) == {"control", "state", "state_projected",

@@ -140,3 +140,9 @@ def test_sin_profile_peaks_at_center():
     assert f(0.0, 0.3) == pytest.approx(0.0, abs=1e-15)
     g = sin_profile(2, 1)
     assert g(0.25, 0.5) == pytest.approx(1.0)
+
+
+def test_self_test_needs_an_exact_solution():
+    spec = dataclasses.replace(example1(), exact=None)
+    with pytest.raises(ValueError, match="no exact solution"):
+        self_test(spec)

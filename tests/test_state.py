@@ -1,11 +1,8 @@
-import weakref
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import trapezoid
-from scipy.linalg import cholesky_banded
 
 import parapt.state
 from helpers import (dense_state_oracle, element_assembly, element_mass,
@@ -105,36 +102,22 @@ def test_interval_integrals_closed_forms():
                                rtol=1e-14)
 
 
-@pytest.fixture
-def count_factors(monkeypatch):
-    """Count the Cholesky factorizations and the largest number of factor
-    arrays alive at once."""
-    stats = {"built": 0, "peak_live": 0}
-    refs = []
-
-    def counted(*args, **kwargs):
-        factor = cholesky_banded(*args, **kwargs)
-        stats["built"] += 1
-        refs.append(weakref.ref(factor))
-        live = sum(r() is not None for r in refs)
-        stats["peak_live"] = max(stats["peak_live"], live)
-        return factor
-
-    monkeypatch.setattr(parapt.state, "cholesky_banded", counted)
-    return stats
+def kinds(record, kind):
+    """The entries of a StepMatrixCache record of one kind."""
+    return [entry for entry in record if entry[0] == kind]
 
 
-def test_ulp_distinct_steps_share_one_factor(small_space, count_factors):
+def test_ulp_distinct_steps_share_one_factor(small_space):
     _, Mh, Kh, _, _ = small_space
     ks = uniform_grid(0.1, 160).k
     assert len(set(map(float, ks))) > 1       # linspace differences
     cache = StepMatrixCache(Mh, Kh)
     first = cache.get(ks[0])
     assert all(cache.get(k) is first for k in ks)
-    assert count_factors["built"] == 1
+    assert len(kinds(cache.record, "factor")) == 1
 
 
-def test_graded_sweep_holds_one_factor(count_factors):
+def test_graded_sweep_holds_one_factor():
     """Every step size of a graded grid is solved once in a row, so both
     sweeps solve by PCG and build no factor, also at the turn from the
     forward sweep's k_M to the backward sweep's."""
@@ -145,11 +128,10 @@ def test_graded_sweep_holds_one_factor(count_factors):
     cache = StepMatrixCache(Mh, Kh)
     solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
     solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
-    assert count_factors["built"] == 0
-    assert count_factors["peak_live"] == 0
+    assert {kind for kind, _, _ in cache.record} == {"pcg"}
 
 
-def test_uniform_sweeps_build_one_factor(count_factors):
+def test_uniform_sweeps_build_one_factor():
     """The first step of a uniform grid repeats in the next one, so it is
     factored, and that factor serves every step of both sweeps."""
     mesh = build_mesh(9)
@@ -159,27 +141,11 @@ def test_uniform_sweeps_build_one_factor(count_factors):
     cache = StepMatrixCache(Mh, Kh)
     solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
     solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
-    assert count_factors["built"] == 1
-
-
-@pytest.fixture
-def count_cg(monkeypatch):
-    """Records (info, iterations) of each CG call in parapt.state."""
-    calls = []
-    real = parapt.state.cg
-
-    def counted(*args, **kwargs):
-        its = []
-        x, info = real(*args, callback=its.append, **kwargs)
-        calls.append((info, len(its)))
-        return x, info
-
-    monkeypatch.setattr(parapt.state, "cg", counted)
-    return calls
+    assert len(kinds(cache.record, "factor")) == 1
 
 
 @pytest.mark.parametrize("nh", [3, 4, 5, 17, 65, 129])
-def test_pcg_step_solve_matches_band(nh, rng, count_factors, count_cg):
+def test_pcg_step_solve_matches_band(nh, rng):
     """A step size solved once goes through PCG, builds no factor, and
     agrees with the banded solve to 1e-12 relative.  The preconditioner
     keeps it to at most 25 iterations from a random guess; plain CG takes
@@ -187,17 +153,16 @@ def test_pcg_step_solve_matches_band(nh, rng, count_factors, count_cg):
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     n = Mh.shape[0]
-    for i, k in enumerate((0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0)):
+    for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
         cache = StepMatrixCache(Mh, Kh)
         rhs, x0 = rng.normal(size=n), rng.normal(size=n)
         pcg = cache.solve(k, rhs.copy(), x0, repeats=False)
-        assert count_factors["built"] == i, k
         band = cache.solve(k, rhs.copy(), x0, repeats=True)
-        assert count_factors["built"] == i + 1, k
+        assert [kind for kind, _, _ in cache.record] == ["pcg", "factor",
+                                                         "band"], k
         assert (np.linalg.norm(pcg - band)
                 <= 1e-12 * np.linalg.norm(band)), k
-    assert [status for status, _ in count_cg] == [0] * 5
-    assert max(its for _, its in count_cg) <= 25
+        assert cache.record[0][2] <= 25, k
 
 
 @pytest.mark.parametrize("nh", [3, 5, 17, 65])
@@ -219,7 +184,7 @@ def test_product_equals_sum_of_sparse_products(nh, rng):
     assert np.array_equal(StepMatrixCache(Mh, K_nan).product(x, 0.0), Mh @ x)
 
 
-def test_pcg_non_finite_load_fails_fast_on_graded_grid(count_cg):
+def test_pcg_non_finite_load_fails_fast_on_graded_grid():
     """A NaN load on the fifth graded interval spoils the hat loads of t_4
     and t_5, so step 5 of the state sweep is the first bad one; its
     right-hand side gives NaN without a CG call."""
@@ -229,13 +194,15 @@ def test_pcg_non_finite_load_fails_fast_on_graded_grid(count_cg):
     assert 0.25 == grid.t[4] < 0.3 < 0.35 < grid.t[5]
     term = RhsTerm(np.ones(Mh.shape[0]),
                    lambda t: np.where((t > 0.3) & (t < 0.35), np.nan, 1.0))
+    cache = StepMatrixCache(Mh, Kh)
     with pytest.raises(NonFiniteSweepError) as info:
-        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]))
+        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
     assert info.value.step == 5
-    assert [status for status, _ in count_cg] == [0] * 4
+    assert [(kind, n is None) for kind, _, n in cache.record] == (
+        [("pcg", False)] * 4 + [("pcg", True)] * 4)
 
 
-def test_pcg_gives_up_after_100_iterations(count_cg, monkeypatch):
+def test_pcg_gives_up_after_100_iterations(monkeypatch):
     """Without its preconditioner CG needs hundreds of iterations on the
     larger graded steps at nh=65; the step solve stops at 100 and raises
     LinAlgError."""
@@ -246,43 +213,48 @@ def test_pcg_gives_up_after_100_iterations(count_cg, monkeypatch):
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     grid = graded_grid(1.0, 8, 2)
     term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
+    cache = StepMatrixCache(Mh, Kh)
     with pytest.raises(np.linalg.LinAlgError, match="info=100"):
-        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]))
-    assert count_cg[-1] == (100, 100)
+        solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    kind, _, n = cache.record[-1]
+    assert (kind, n) == ("pcg", 100)
 
 
 def graded_manufactured_sweeps(nh, M):
     """State and adjoint sweeps of the manufactured problem on a graded
-    grid of M intervals (exponent 2) at mesh size nh; returns the grid."""
+    grid of M intervals (exponent 2) at mesh size nh, through one cache;
+    returns the grid and the cache's record."""
     prob = manufactured_smooth()
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     grid = graded_grid(prob.T, M, 2)
+    cache = StepMatrixCache(Mh, Kh)
     solve_state(Mh, Kh, grid, discretize_terms(mesh, prob.g0),
-                interpolate(mesh, prob.y0))
-    solve_adjoint(Mh, Kh, grid,
+                interpolate(mesh, prob.y0), cache=cache)
+    solve_adjoint(Mh, Kh, grid, cache=cache,
                   terms=discretize_terms(mesh, prob.exact.p_rhs))
-    return grid
+    return grid, cache.record
 
 
-def test_graded_manufactured_sweeps_keep_their_cg_iterations(count_cg):
+def test_graded_manufactured_sweeps_keep_their_cg_iterations():
     """Turning CG into the DST-I basis keeps its Krylov iteration: the
     state and adjoint sweeps of the manufactured problem on a 32-interval
     graded grid at nh=65 take 306 iterations in all, at most 10 a solve."""
-    grid = graded_manufactured_sweeps(65, 32)
-    assert len(count_cg) == 2 * grid.M + 1          # and the terminal solve
-    assert all(status == 0 for status, _ in count_cg)
-    assert sum(its for _, its in count_cg) <= 321   # 306 plus 5%
-    assert max(its for _, its in count_cg) <= 10
+    grid, record = graded_manufactured_sweeps(65, 32)
+    its = [n for _, _, n in kinds(record, "pcg")]
+    assert len(its) == len(record) == 2 * grid.M + 1  # and the terminal solve
+    assert sum(its) <= 321                            # 306 plus 5%
+    assert max(its) <= 10
 
 
-def test_pcg_guard_passes_correct_solves_on_fine_mesh(count_cg):
+def test_pcg_guard_passes_correct_solves_on_fine_mesh():
     """Rounding x costs ||M + (k/2) K|| ||x|| eps of residual, and ||rhs||
     is only about h^2 ||x||: on the 8-interval graded manufactured state
     sweep at nh=129 a correct solve reaches 1.1e-12 relative to rhs.  The
     guard bounds the backward error, so both sweeps pass."""
-    grid = graded_manufactured_sweeps(129, 8)
-    assert [status for status, _ in count_cg] == [0] * (2 * grid.M + 1)
+    grid, record = graded_manufactured_sweeps(129, 8)
+    assert [(kind, n is None) for kind, _, n in record] == (
+        [("pcg", False)] * (2 * grid.M + 1))
 
 
 @pytest.mark.parametrize("mass", [lambda M, K: 2 * M, lambda M, K: K],
@@ -305,7 +277,7 @@ def test_pcg_residual_guard_rejects_other_matrices(mass, rng):
                 <= 1e-12 * np.linalg.norm(rhs)), k
 
 
-def test_pcg_on_non_square_grid_raises(count_cg):
+def test_pcg_on_non_square_grid_raises():
     """n = 5 is no m x m grid: PCG raises LinAlgError naming n before any
     reshape or CG call; the band still solves."""
     cache = StepMatrixCache(sp.identity(5, format="csr"),
@@ -313,14 +285,14 @@ def test_pcg_on_non_square_grid_raises(count_cg):
     rhs = np.arange(5.0)
     with pytest.raises(np.linalg.LinAlgError, match="n=5"):
         cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=False)
-    assert count_cg == []
+    assert cache.record == []
     np.testing.assert_allclose(
         cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=True), rhs / 1.25,
         rtol=1e-15)
 
 
 @pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
-def test_bad_step_size_raises_before_solving(k, count_cg):
+def test_bad_step_size_raises_before_solving(k):
     """A negative or non-finite step size raises LinAlgError on both paths
     before any arithmetic, so no division by a vanishing symbol warns."""
     mesh = build_mesh(9)
@@ -330,7 +302,7 @@ def test_bad_step_size_raises_before_solving(k, count_cg):
         with np.errstate(all="raise"), pytest.raises(
                 np.linalg.LinAlgError, match="finite and non-negative"):
             cache.solve(k, rhs, np.zeros(cache.n), repeats)
-    assert count_cg == []
+    assert cache.record == []
 
 
 @pytest.mark.parametrize("nh", [3, 4, 5, 17, 65])

@@ -103,3 +103,31 @@ def test_dual_projection_needs_two_intervals():
     w = PiecewiseConstantField(grid, np.ones((2, 1)))
     with pytest.raises(ValueError):
         dual_linear_projection(w, grid)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([0.0], "at least two time nodes"),
+    ([[0.0, 1.0]], "at least two time nodes"),
+    ([0.1, 1.0], "start at 0"),
+    ([0.0, 0.5, 0.5], "increase strictly"),
+    ([0.0, np.nan, 1.0], "increase strictly"),
+    ([0.0, 1.0, np.inf], "be finite"),
+], ids=["one-node", "two-dim", "late-start", "repeated", "nan", "inf"])
+def test_make_grid_rejects_bad_nodes(nodes, message):
+    """A NaN node used to give NaN step sizes and an infinite one an
+    infinite step, both failing only later in the step solver."""
+    with pytest.raises(ValueError, match=message):
+        make_grid(nodes)
+
+
+@pytest.mark.parametrize("T, M", [(np.inf, 4), (np.nan, 4), (0.0, 4),
+                                  (1.0, 0)])
+def test_uniform_grid_rejects_bad_sizes(T, M):
+    with pytest.raises(ValueError, match="need M >= 1 and finite T > 0"):
+        uniform_grid(T, M)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+def test_graded_grid_rejects_non_positive_exponent(gamma):
+    with pytest.raises(ValueError, match="grading exponent must be positive"):
+        graded_grid(1.0, 4, gamma)
