@@ -56,6 +56,8 @@ def uniform_grid(T, M):
 
 def graded_grid(T, M, gamma):
     """Nodes T*(m/M)**gamma; gamma = 1 recovers the uniform grid."""
+    if not (M >= 1 and 0 < T < np.inf):
+        raise ValueError("need M >= 1 and finite T > 0")
     if not gamma > 0:
         raise ValueError("grading exponent must be positive")
     m = np.arange(M + 1) / M

@@ -11,7 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from parapt.control import INACTIVE, LOWER, UPPER, ClampedLinearControl
+from parapt.control import (INACTIVE, LOWER, UPPER, AdmissibleSet,
+                            ClampedLinearControl)
+from parapt.problems import _mode_problem
 from parapt.quadrature import gauss_points, split_at
 from parapt.state import mass_rows, separable_sq_norm
 from parapt.timegrid import PiecewiseConstantField
@@ -261,3 +263,15 @@ def dense_adjoint_oracle(Md, Kd, grid, theta=None, g=None, loads=None):
             rhs[(m - 1) * n:m * n] = float(wts @ np.asarray(theta(pts))) * (Md @ g)
     A[M * n:, M * n:] += Md
     return np.linalg.solve(A, rhs).reshape(M + 1, n)
+
+
+def skewed_example2(dy_scale=1.0, dp_scale=1.0):
+    """Example 2 with its loads built from y' and p' times the scales; the
+    default scales give example 2 itself."""
+    om = 4.0 * np.pi / 0.5
+    c = lambda t: np.cos(om * np.asarray(t, dtype=float))
+    ds = lambda t: -om * np.sin(om * np.asarray(t, dtype=float))
+    return _mode_problem(
+        "example2", 0.5, 1.0, AdmissibleSet(0.2, 0.4),
+        y=c, dy=lambda t: dy_scale * ds(t),
+        p=lambda t: c(t) - np.cos(4.0 * np.pi), dp=lambda t: dp_scale * ds(t))

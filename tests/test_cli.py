@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import parapt.errors
 import parapt.problems
+from helpers import skewed_example2
 from parapt.cli import (CSV_HEADER, csv_lines, main, markdown_lines,
                         read_config, summary_lines)
 from parapt.errors import ConvergenceRow, StudyResult
@@ -176,6 +181,30 @@ def test_main_selftest_failure_exits_2(capsys, monkeypatch):
     got = capsys.readouterr().out
     assert "[FAIL] example1: self-test residuals too large" in got
     assert "[PASS]" not in got
+
+
+def test_main_selftest_fails_on_a_wrong_derivative(capsys, monkeypatch):
+    """The check is made on the problem data, not on a stand-in failure:
+    example 2 with its load built from a y' 1% too large fails."""
+    monkeypatch.setattr(parapt.problems, "example2",
+                        lambda: skewed_example2(dy_scale=1.01))
+    assert main(["--selftest"]) == 2
+    got = capsys.readouterr().out
+    assert "[PASS] example1" in got and "[PASS] manufactured" in got
+    assert "[FAIL] example2: self-test residuals too large" in got
+
+
+def test_import_cli_leaves_scipy_optimize_unloaded():
+    """parapt finds its clamp kinks without scipy.optimize, whose import
+    alone adds about 17 MiB of resident memory to a run."""
+    src = str(Path(parapt.problems.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, parapt.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_main_uncreatable_out_exits_1(tmp_path, capsys):

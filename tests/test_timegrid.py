@@ -127,6 +127,15 @@ def test_uniform_grid_rejects_bad_sizes(T, M):
         uniform_grid(T, M)
 
 
+@pytest.mark.parametrize("T, M", [(np.inf, 4), (np.nan, 4), (0.0, 4),
+                                  (1.0, 0)])
+def test_graded_grid_rejects_bad_sizes(T, M):
+    """Checked up front: M = 0 would divide by zero and T = inf multiply
+    0 by inf, each warning before make_grid saw the NaN nodes."""
+    with pytest.raises(ValueError, match="need M >= 1 and finite T > 0"):
+        graded_grid(T, M, 2.0)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
 def test_graded_grid_rejects_non_positive_exponent(gamma):
     with pytest.raises(ValueError, match="grading exponent must be positive"):
