@@ -11,7 +11,7 @@ from .adjoint import solve_adjoint
 from .control import (AdmissibleSet, ClampedLinearControl, clamp_control,
                       constant_control, control_norms, control_to_rhs_terms)
 from .errors import (ConvergenceRow, StudyResult, eoc_table,
-                     field_error_norms, run_state_study, run_study)
+                     field_error_norms, run_study)
 from .fem import (StructuredTriMesh, build_mesh, interpolate, mass_matrix,
                   stiffness_matrix)
 from .optimizer import (DiscreteProblem, FixedPointError, SolveReport,

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import problems
-from .errors import run_state_study, run_study
+from .errors import run_study
 
 CSV_HEADER = "level,M,k,err_L1,err_L2,err_Linf,eoc_L1,eoc_L2,eoc_Linf"
 DEFAULT_LEVELS = {"1": [10, 20, 40, 80, 160], "2": [8, 16, 32, 64, 128, 256],
@@ -197,16 +197,13 @@ def main(argv=None):
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    if args.alpha is not None and spec.name != "manufactured":
+    if args.alpha is not None and spec.uad.dim:
         print("note: alpha override changes the problem; exact-solution "
               "errors refer to the original data", file=sys.stderr)
 
     print(f"problem {spec.name}: levels {levels}, {nh} nodes per side")
-    if example == "manufactured":
-        result = run_state_study(spec, levels, n_per_side=nh, verbose=True)
-    else:
-        result = run_study(spec, levels, n_per_side=nh,
-                           threshold=args.threshold, verbose=True)
+    result = run_study(spec, levels, n_per_side=nh, threshold=args.threshold,
+                       verbose=True)
 
     if args.fmt in ("csv", "both"):
         for name, rows in result.tables.items():

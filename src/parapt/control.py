@@ -48,7 +48,6 @@ class ClampedLinearControl:
     bound, at the upper bound, or is inactive (follows the unclamped
     line).  Active pieces are exactly constant at the bound.
     """
-    T: float
     breaks: list          # per component: breakpoint array, 0 .. T
     vals: list            # values at the breakpoints
     tags: list            # int array per component, one entry per piece
@@ -106,7 +105,7 @@ def clamp_control(times, nodal_values, box):
         vals.append(va)
         tags.append(np.where(up, UPPER, np.where(down, LOWER, INACTIVE))
                     .astype(np.int8))
-    return ClampedLinearControl(T, breaks, vals, tags)
+    return ClampedLinearControl(breaks, vals, tags)
 
 
 def constant_control(grid, values, box):

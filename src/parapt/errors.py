@@ -1,4 +1,4 @@
-"""Space-time error norms, observed convergence orders, and study drivers.
+"""Space-time error norms, observed convergence orders, and the study driver.
 
 Errors against separable exact solutions are measured in L1(L1), L2(L2)
 and Linf(Linf) over the space-time cylinder.  The spatial reference is
@@ -114,7 +114,6 @@ class StudyResult:
     problem: str
     n_per_side: int
     threshold: float
-    levels: list
     tables: dict = field(default_factory=dict)
     iterations: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
@@ -125,17 +124,20 @@ class StudyResult:
         return not self.failures
 
 
-def _exact_pairs(mesh, terms):
-    return [(t.theta, interpolate(mesh, t.profile)) for t in terms]
+def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
+    """Convergence study over a list of interval counts.
 
-
-def _study(problem, levels, n_per_side, threshold, tables, setup, verbose):
-    """Set-up and level loop shared by the studies: ``setup(dp, mesh)``,
-    called once, returns ``solve(grid)``, which returns (control or None,
-    state, adjoint, sweeps).  A level whose solve raises FixedPointError,
+    With a control component, each level is a fixed-point solve and its
+    sweeps are the level's iterations.  Without one there is nothing to
+    iterate: each level solves the state equation and the adjoint equation
+    for the problem's chosen right-hand side, sharing one StepMatrixCache,
+    with 0 sweeps, threshold 0 and no control table.  State,
+    post-processed state and adjoint errors are tabulated with observed
+    orders either way.  A level whose solve raises FixedPointError,
     NonFiniteSweepError or LinAlgError is recorded in ``failures`` (sweeps
     None unless the error carries a report) and the next level runs.
-    Every table in ``tables`` is built, even empty."""
+    Every table is built, even empty.
+    """
     if any(M < 2 for M in levels) or any(
             a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels need at least 2 time intervals each and "
@@ -144,17 +146,30 @@ def _study(problem, levels, n_per_side, threshold, tables, setup, verbose):
     M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
     dp = discretize_problem(problem, mesh, M_h, K_h)
     ex = problem.exact
-    y_pairs = _exact_pairs(mesh, ex.y)
-    p_pairs = _exact_pairs(mesh, ex.p)
-    solve = setup(dp, mesh)
+    y_pairs = [(t.theta, interpolate(mesh, t.profile)) for t in ex.y]
+    p_pairs = [(t.theta, interpolate(mesh, t.profile)) for t in ex.p]
+    controlled = problem.uad.dim > 0
+    if controlled:
+        tables = TABLES
+    else:
+        tables, threshold = TABLES[1:], 0.0
+        h_terms = discretize_terms(mesh, ex.p_rhs)
 
     entries = {key: [] for key in tables}
-    result = StudyResult(problem.name, n_per_side, threshold, list(levels))
+    result = StudyResult(problem.name, n_per_side, threshold)
     for level, M in enumerate(levels, start=1):
         grid = uniform_grid(problem.T, M)
         tic = time.perf_counter()
         try:
-            u, y, p, sweeps = solve(grid)
+            if controlled:
+                r = fixed_point_solve(dp, grid, threshold=threshold)
+                y, p, sweeps = r.state, r.adjoint, r.iterations
+            else:
+                cache = StepMatrixCache(M_h, K_h)
+                y = solve_state(M_h, K_h, grid, dp.source_terms, dp.y0,
+                                cache=cache)
+                p = solve_adjoint(M_h, K_h, grid, terms=h_terms, cache=cache)
+                sweeps = 0
         except (FixedPointError, NonFiniteSweepError,
                 np.linalg.LinAlgError) as exc:
             result.failures[M] = f"{type(exc).__name__}: {exc}"
@@ -168,9 +183,9 @@ def _study(problem, levels, n_per_side, threshold, tables, setup, verbose):
                 y_pairs, dual_linear_projection(y, grid), mesh, M_h),
             "adjoint": field_error_norms(p_pairs, p, mesh, M_h),
         }
-        if u is not None:
-            errs["control"] = control_norms((ex.u_funcs, ex.u_breaks), u,
-                                            problem.T)
+        if controlled:
+            errs["control"] = control_norms((ex.u_funcs, ex.u_breaks),
+                                            r.control, problem.T)
         for key in entries:
             entries[key].append((level, M, grid.k_max, errs[key]))
         result.iterations.append(sweeps)
@@ -180,41 +195,3 @@ def _study(problem, levels, n_per_side, threshold, tables, setup, verbose):
                   + f"{tables[0]} L2 {errs[tables[0]]['L2']:.3e}")
     result.tables = {key: eoc_table(rows) for key, rows in entries.items()}
     return result
-
-
-def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
-    """Optimal-control convergence study over a list of interval counts.
-
-    Solves the full fixed-point problem per level and tabulates control,
-    state, post-processed state, and adjoint errors with observed orders.
-    Solver failures are recorded per level and remaining levels continue.
-    """
-    def setup(dp, mesh):
-        def solve(grid):
-            r = fixed_point_solve(dp, grid, threshold=threshold)
-            return r.control, r.state, r.adjoint, r.iterations
-        return solve
-    return _study(problem, levels, n_per_side, threshold, TABLES, setup,
-                  verbose)
-
-
-def run_state_study(problem, levels, n_per_side=65, verbose=False):
-    """Pure discretization study without the optimizer.
-
-    Solves the state equation (and the adjoint equation for the problem's
-    chosen right-hand side) per level; tabulates raw, post-processed and
-    adjoint errors.  Used for manufactured problems.
-    """
-    def setup(dp, mesh):
-        h_terms = discretize_terms(mesh, problem.exact.p_rhs)
-
-        def solve(grid):
-            cache = StepMatrixCache(dp.M_h, dp.K_h)
-            y_k = solve_state(dp.M_h, dp.K_h, grid, dp.source_terms, dp.y0,
-                              cache=cache)
-            p_k = solve_adjoint(dp.M_h, dp.K_h, grid, terms=h_terms,
-                                cache=cache)
-            return None, y_k, p_k, 0
-        return solve
-    return _study(problem, levels, n_per_side, 0.0, TABLES[1:], setup,
-                  verbose)

@@ -114,9 +114,7 @@ def _mode_problem(name, T, alpha, box, y, dy, p, dp, q=1):
         g0=[term(lambda t: dy(t) + lam * y(t))]
         + [term(lambda t, u=u: -u(t), breaks=b)
            for u, b in zip(u_funcs, u_breaks)],
-        # not y0 * g(x1, x2): that rounds differently and moves the
-        # example-1 tables by about 2e-13
-        y0=lambda x1, x2: y0 * np.sin(q * np.pi * x1) * np.sin(q * np.pi * x2),
+        y0=lambda x1, x2: y0 * g(x1, x2),
         y_d=[term(lambda t: y(t) + dp(t) - lam * p(t))], exact=exact)
 
 

@@ -196,7 +196,7 @@ def reference_clamp(times, nodal_values, box):
         vals.append(np.clip(va, lo, hi))
         tags.append(np.where(up, UPPER, np.where(down, LOWER, INACTIVE))
                     .astype(np.int8))
-    return ClampedLinearControl(T, breaks, vals, tags)
+    return ClampedLinearControl(breaks, vals, tags)
 
 
 def hat(j, t, nodes):

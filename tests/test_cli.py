@@ -32,7 +32,7 @@ def test_csv_lines_layout():
 
 
 def test_markdown_lines_layout():
-    res = StudyResult("example1", 9, 1e-5, [8, 16],
+    res = StudyResult("example1", 9, 1e-5,
                       tables={"control": sample_rows()})
     md = markdown_lines(res)
     assert md[0] == "# Convergence tables: example1"
@@ -43,7 +43,7 @@ def test_markdown_lines_layout():
 
 
 def test_summary_lines_records():
-    res = StudyResult("example1", 9, 1e-5, [8, 16],
+    res = StudyResult("example1", 9, 1e-5,
                       tables={"control": sample_rows()},
                       iterations=[4, 5], wall_times=[0.1, 0.2],
                       failures={32: "boom"})
@@ -101,6 +101,8 @@ def test_main_manufactured_markdown(tmp_path):
             "tables.md", "summary.jsonl"} <= set(names)
     md = (out / "tables.md").read_text().splitlines()
     assert md[0] == "# Convergence tables: manufactured"
+    # nothing to iterate, so the default threshold 1e-5 is not reported
+    assert md[2] == "Spatial grid 9 nodes per side, stopping threshold 0."
 
 
 def test_main_usage_errors(tmp_path):
@@ -231,6 +233,11 @@ def test_main_alpha_override_warns(tmp_path, capsys):
                "--alpha", "0.5", "--out", str(out)])
     assert rc == 0
     assert "alpha override" in capsys.readouterr().err
+    # alpha only weighs the control, so a problem without one keeps quiet
+    rc = main(["--example", "manufactured", "--levels", "4", "--nh", "9",
+               "--alpha", "0.5", "--out", str(out)])
+    assert rc == 0
+    assert "alpha override" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])

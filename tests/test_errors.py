@@ -5,10 +5,12 @@ import pytest
 
 import parapt.errors
 from helpers import l1_norm, l2l2_distance, linf_norm
-from parapt.errors import eoc_table, field_error_norms, run_state_study, run_study
-from parapt.fem import build_mesh, mass_matrix
+from parapt.errors import eoc_table, field_error_norms, run_study
+from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
+from parapt.optimizer import discretize_problem, fixed_point_solve
 from parapt.problems import example1, manufactured_smooth
 from parapt.quadrature import gauss_points
+from parapt.state import solve_state
 from parapt.timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                              dual_linear_projection, graded_grid,
                              uniform_grid)
@@ -180,9 +182,11 @@ def test_l2l2_distance_closed_form(pc_M, pl_M):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_run_state_study_smoke():
-    res = run_state_study(manufactured_smooth(), [4, 8], n_per_side=9)
-    assert res.ok and res.iterations == [0, 0]
+def test_run_study_without_control_smoke():
+    """Without a control component a level is a state and an adjoint
+    solve: no sweeps, no control table, and threshold 0."""
+    res = run_study(manufactured_smooth(), [4, 8], n_per_side=9)
+    assert res.ok and res.iterations == [0, 0] and res.threshold == 0.0
     assert set(res.tables) == {"state", "state_projected", "adjoint"}
     for rows in res.tables.values():
         assert len(rows) == 2
@@ -193,23 +197,33 @@ def test_run_state_study_smoke():
     assert state[1].err["L2"] < state[0].err["L2"]
 
 
+def _manufactured_dp():
+    mesh = build_mesh(9)
+    return discretize_problem(manufactured_smooth(), mesh, mass_matrix(mesh),
+                              stiffness_matrix(mesh))
+
+
 def test_run_study_without_control_matches_state_study():
-    """With no control component there is nothing to iterate: the second
-    sweep meets any threshold, and the state tables are the state study's
-    bit for bit."""
-    res = run_study(manufactured_smooth(), [4, 8], n_per_side=9)
-    ref = run_state_study(manufactured_smooth(), [4, 8], n_per_side=9)
-    assert res.ok and res.iterations == [2, 2]
-    for key in ("state", "state_projected"):
-        assert res.tables[key] == ref.tables[key]
+    """With no control component there is nothing to iterate: the
+    optimizer's second sweep meets any threshold, and its state is a plain
+    solve_state march bit for bit (every step is exactly 1/8 or 1/16)."""
+    dp = _manufactured_dp()
+    for M in (4, 8):
+        grid = uniform_grid(manufactured_smooth().T, M)
+        rep = fixed_point_solve(dp, grid)
+        assert rep.converged and rep.iterations == 2
+        want = solve_state(dp.M_h, dp.K_h, grid, dp.source_terms, dp.y0)
+        assert np.array_equal(rep.state.values, want.values)
 
 
 def test_run_study_zero_threshold_without_control():
     """Without control the second sweep repeats the first's pairing
     exactly, so even a threshold of 0 is met there."""
-    res = run_study(manufactured_smooth(), [4, 8], n_per_side=9,
-                    threshold=0.0)
-    assert res.ok and res.iterations == [2, 2]
+    dp = _manufactured_dp()
+    for M in (4, 8):
+        rep = fixed_point_solve(dp, uniform_grid(manufactured_smooth().T, M),
+                                threshold=0.0)
+        assert rep.converged and rep.iterations == 2
 
 
 def test_run_study_records_solver_failures(monkeypatch):
@@ -242,7 +256,7 @@ def test_run_study_records_linalg_error_and_continues(monkeypatch):
         assert [r.M for r in rows] == [4, 16]
 
 
-def test_run_state_study_records_non_finite_sweep(monkeypatch):
+def test_run_study_without_control_records_non_finite_sweep(monkeypatch):
     """A NaN initial value at one level stops that level's sweep at its
     first step; the other levels still run."""
     real = parapt.errors.solve_state
@@ -253,7 +267,7 @@ def test_run_state_study_records_non_finite_sweep(monkeypatch):
         return real(M_h, K_h, grid, terms, y0, cache=cache)
 
     monkeypatch.setattr(parapt.errors, "solve_state", solve)
-    res = run_state_study(manufactured_smooth(), [4, 8, 16], n_per_side=9)
+    res = run_study(manufactured_smooth(), [4, 8, 16], n_per_side=9)
     assert list(res.failures) == [8]
     assert res.failures[8] == ("NonFiniteSweepError: non-finite value at "
                                "step 1 of a time sweep")
@@ -262,11 +276,10 @@ def test_run_state_study_records_non_finite_sweep(monkeypatch):
         assert [r.M for r in rows] == [4, 16]
 
 
-@pytest.mark.parametrize("study", [run_study, run_state_study])
-def test_studies_reject_levels_below_two(study):
+def test_run_study_rejects_levels_below_two():
     with pytest.raises(ValueError, match="at least 2 time intervals"):
-        study(manufactured_smooth(), [4, 1], n_per_side=9)
+        run_study(manufactured_smooth(), [4, 1], n_per_side=9)
     # failures are keyed by M, so levels must not repeat either
     for levels in ([8, 8], [16, 8]):
         with pytest.raises(ValueError, match="must increase strictly"):
-            study(manufactured_smooth(), levels, n_per_side=9)
+            run_study(manufactured_smooth(), levels, n_per_side=9)

@@ -335,9 +335,9 @@ def test_step_factor_equals_factor_of_sparse_band(nh, rng):
 
 def test_step_matrix_not_positive_definite_raises():
     mesh = build_mesh(17)
-    cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
-    with pytest.raises(np.linalg.LinAlgError):
-        cache.get(-1.0)
+    cache = StepMatrixCache(mass_matrix(mesh), -stiffness_matrix(mesh))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        cache.get(1.0)
 
 
 def test_non_finite_initial_value_fails_fast(small_space):
