@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .fem import interpolate
 from .quadrature import gauss_points, split_at
@@ -104,19 +103,59 @@ def _step_key(k):
     return float(f"{k:.12g}")
 
 
+_BAND_BELOW_M = 127   # m; see StepMatrixCache
+
+
+def _cg(operator, inverse, b, y, tol):
+    """Conjugate gradients on operator(y) = b from y, which it overwrites,
+    preconditioned by the product with ``inverse``, until the residual's
+    norm is at most tol.  Returns the number of iterations, 100 when it
+    gives up there."""
+    r = b - operator(y)
+    p, rho_old = np.zeros_like(b), 1.0
+    for its in range(100):
+        if np.linalg.norm(r) <= tol:
+            return its
+        z = inverse * r
+        rho = np.vdot(r, z)
+        p *= rho / rho_old
+        p += z
+        q = operator(p)
+        alpha = rho / np.vdot(p, q)
+        y += alpha * p
+        r -= alpha * q
+        rho_old = rho
+    return 100
+
+
 class StepMatrixCache:
     """Solves with M + (k/2) K, step size by step size.
 
-    The rule has no knob: a step size is factored when a march solves with
-    it at least twice in a row, and a step size solved once is solved by
-    conjugate gradients.  A uniform grid thus builds one factor, at its
-    first step, and serves every step with it; a graded grid, whose step
-    sizes all differ, builds none.  The terminal mass solve is the step
-    size k = 0, solved once, so it is a CG solve.  Step sizes are compared
+    The rule has no knob.  On a grid of m x m interior nodes with m below
+    127 (nh = m + 2 below 129), a step size is factored when a march
+    solves with it at least twice in a row, so a uniform grid builds one
+    factor, at its first step, and serves every step with it.  Every
+    other solve is a PCG solve: every step of a graded grid, whose step
+    sizes all differ, every step from m = 127 on, and the terminal mass
+    solve, the step size k = 0, solved once.  Step sizes are compared
     after rounding to 12 significant digits, because the differences of a
     linspace differ in the last bits.
 
-    CG runs in the orthonormal DST-I basis S of the m x m grid X of
+    The crossover is measured per step of a warm-started 32-step uniform
+    march at k = 0.0031 and 0.016 on one BLAS thread of a 2-core x86-64
+    box, as the range of medians of 15 runs over both k and up to two
+    repeats: a banded solve against a PCG solve with its residual check,
+    and the factor the band needs first:
+
+        nh    band          PCG           factor
+        65    332-349 us    564-608 us     4-5 ms
+        97    0.95-1.19 ms  1.28-1.74 ms  10-15 ms
+        113   1.63-1.74 ms  2.11-2.28 ms  17-18 ms
+        129   2.8-4.4 ms    2.9-3.7 ms    31-35 ms
+
+    At nh = 129 the band of (m + 2) n doubles (16.6 MB) no longer pays.
+
+    PCG runs in the orthonormal DST-I basis S of the m x m grid X of
     interior nodes (S symmetric, S S = I), where M + sK is exact and cheap.
     With U the 1-D shift, Sym = (U + U')/2 and Asym = (U - U')/2, the mass
     stencil's diagonal neighbours are U X U' + U' X U = 2 (Sym X Sym + Asym
@@ -124,19 +163,26 @@ class StepMatrixCache:
 
         S (M + sK) S : X^ -> symbol * X^ + A X^ A',   A = sqrt(2 w) S Asym S
 
-    with w = h^2/12, h = 1/(m+1), c_p = cos(p pi/(m+1)), lambda_p = 2 - 2 c_p
-    and the symbol of the separable operator of Concus and Golub (1973)
+    with w = h^2/12, h = 1/(m+1), c_p = cos(p theta), theta = pi/(m+1),
+    lambda_p = 2 - 2 c_p and the symbol of the separable operator of Concus
+    and Golub (1973)
 
         w (6 + 2 c_p + 2 c_q + 2 c_p c_q) + s (lambda_p + lambda_q),
 
-    which, divided out, preconditions CG.  A is a dense m x m skew matrix.
+    which, divided out, preconditions CG.  A is a dense m x m skew matrix
+    whose sums of sines are cotangents: A[p, q] is 0 where p + q is even
+    and otherwise
+
+        -sqrt(w/2) sin(q theta) 2/(m+1) (cot((p+q) theta/2)
+                                         + cot((p-q) theta/2)).
 
     The cache keeps M, K, S, A, the two symbols and its one live factor:
-    each study's cache factors at most once (a uniform grid at its first
-    step, a graded grid never), so nothing is precomputed for a factor.  A
-    factor writes the lower triangle of the sparse sum M + (k/2) K into a
-    zero LAPACK lower band and factors it in place.  Only one factor is
-    alive at a time, so memory does not grow with the number of intervals.
+    each study's cache factors at most once (a uniform grid below m = 127
+    at its first step, any other grid never), so nothing is precomputed
+    for a factor.  A factor writes the lower triangle of the sparse sum
+    M + (k/2) K into a zero LAPACK lower band and factors it in place.
+    Only one factor is alive at a time, so memory does not grow with the
+    number of intervals.
 
     ``record`` lists, in order, ("factor", k, None) per factor built,
     ("band", k, None) per banded solve and ("pcg", k, n) per PCG solve of n
@@ -148,6 +194,7 @@ class StepMatrixCache:
         self.n = M_h.shape[0]
         self._M, self._K = M_h, K_h
         m = math.isqrt(self.n)
+        theta = np.pi / (m + 1)
         j = np.arange(1, m + 1)
         c = np.cos(j * np.pi / (m + 1))
         cp, cq = c[:, None], c[None, :]
@@ -158,15 +205,28 @@ class StepMatrixCache:
         # identity to rounding at every m
         self._S = math.sqrt(2.0 / (m + 1)) * np.sin(
             np.outer(j, j) % (2 * m + 2) * np.pi / (m + 1))
-        rows = np.pad(self._S, ((1, 1), (0, 0)))  # 2 Asym S: rows i-1 - i+1
-        self._A = math.sqrt(0.5 * w) * (self._S @ (rows[:-2] - rows[2:]))
+        # A in closed form from cot(i theta/2) at i = p - q and p + q,
+        # set to 0 at even i, where A is 0
+        i = np.arange(1 - m, 2 * m + 1)
+        odd = i % 2 == 1
+        cot = np.zeros(len(i))
+        cot[odd] = 1.0 / np.tan(i[odd] * (0.5 * theta))
+        scale = -math.sqrt(0.5 * w) * 2.0 / (m + 1)
+        self._A = scale * np.sin(j * theta) * (
+            cot[j[:, None] + j + (m - 1)] + cot[j[:, None] - j + (m - 1)])
+        self._band = m < _BAND_BELOW_M
         self._key = None
         self._factor = None
         self.record = []
 
-    def product(self, x, s):
+    def product(self, x, s, warm=None):
         """M x + s K x, the sum of the two sparse products; at s = 0 it is
-        M x alone, so K x is neither formed nor able to spread a NaN."""
+        M x alone, so K x is neither formed nor able to spread a NaN.
+        ``warm``, the carry of the PCG solve that returned x, holds both
+        products already, so none is formed again."""
+        if warm:
+            _, Mx, Kx = warm
+            return Mx + s * Kx
         r = self._M @ x
         if s:
             r += s * (self._K @ x)
@@ -188,30 +248,34 @@ class StepMatrixCache:
             self.record.append(("factor", float(k), None))
         return self._factor
 
-    def solve(self, k, rhs, x0, repeats):
+    def solve(self, k, rhs, x0, repeats, warm=None):
         """Solve (M + (k/2) K) x = rhs for step size k; may overwrite rhs.
         ``repeats`` says whether the next solve has the same step size;
-        unless it does, or k's factor is alive, PCG solves from the guess
-        x0."""
-        if _step_key(k) != self._key and not repeats:
-            return self._pcg(float(k), rhs, x0)
+        unless it does on a grid with m below 127, or k's factor is
+        alive, PCG solves from the guess x0, or from the DST-I
+        coefficients in ``warm``, the carry of the PCG solve that returned
+        x0.  Returns x and its carry: (DST-I coefficients, M x, K x) after
+        a PCG solve with k > 0, else None."""
+        if _step_key(k) != self._key and not (repeats and self._band):
+            return self._pcg(float(k), rhs, x0, warm)
         x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
         self.record.append(("band", float(k), None))
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-        return x
+        return x, None
 
-    def _pcg(self, k, rhs, x0):
+    def _pcg(self, k, rhs, x0, warm):
         """CG on S (M + (k/2) K) S, preconditioned by 1/symbol, to relative
         residual 1e-14 in at most 100 iterations.  S is orthogonal, so this
-        is CG on M + (k/2) K under the separable solve, turned.  A
-        non-finite right-hand side gives NaN at once.  CG never multiplies
-        by the cache's M and K, so one true residual r through them checks
-        x: it raises LinAlgError when the backward error ||r|| / (||rhs||
-        + ||M + (k/2) K|| ||x||) is above 1e-12, as it does on a grid that
-        is not square.  A bound on ||r|| / ||rhs|| alone would fail correct
-        solves, since rounding x costs ||M + (k/2) K|| ||x|| eps, which is
-        thousands of times eps ||rhs|| on fine meshes."""
+        is CG on M + (k/2) K under the separable solve, turned.  A zero
+        right-hand side gives zeros, a non-finite one NaN at once.  CG
+        never multiplies by the cache's M and K, so one true residual r
+        through them checks x: it raises LinAlgError when the backward
+        error ||r|| / (||rhs|| + ||M + (k/2) K|| ||x||) is above 1e-12, as
+        it does on a grid that is not square.  A bound on ||r|| / ||rhs||
+        alone would fail correct solves, since rounding x costs ||M + (k/2)
+        K|| ||x|| eps, which is thousands of times eps ||rhs|| on fine
+        meshes."""
         S, A = self._S, self._A
         m = len(S)
         if m * m != self.n:
@@ -219,38 +283,30 @@ class StepMatrixCache:
                 f"step PCG needs an m x m grid of nodes, got n={self.n}")
         if not np.all(np.isfinite(rhs)):
             self.record.append(("pcg", k, None))
-            return np.full_like(rhs, np.nan)
+            return np.full_like(rhs, np.nan), None
         symbol = self._mass_symbol + 0.5 * k * self._stiffness_symbol
-
-        def turn(x):                     # S X S, its own inverse
-            return (S @ np.reshape(x, (m, m)) @ S).ravel()
-
-        def operator(x):
-            x = np.reshape(x, (m, m))
-            return (symbol * x + A @ x @ A.T).ravel()
-
-        shape = (self.n, self.n)
-        inverse = 1.0 / symbol.ravel()
-        iterates = []                    # one entry per CG iteration
-        y, info = cg(
-            LinearOperator(shape, operator, dtype=float),
-            turn(rhs), x0=turn(x0), rtol=1e-14, atol=0.0, maxiter=100,
-            M=LinearOperator(shape, lambda r: inverse * r.ravel(),
-                             dtype=float), callback=iterates.append)
-        self.record.append(("pcg", k, len(iterates)))
-        if info:
+        b = S @ np.reshape(rhs, (m, m)) @ S
+        tol = 1e-14 * np.linalg.norm(b)
+        if not tol:
+            y = np.zeros_like(b)
+        else:
+            y = warm[0].copy() if warm else S @ np.reshape(x0, (m, m)) @ S
+        its = _cg(lambda v: symbol * v + A @ v @ A.T, 1.0 / symbol, b, y, tol)
+        self.record.append(("pcg", k, its))
+        if its == 100:
             raise np.linalg.LinAlgError(
-                f"step CG stopped at info={info} before rtol 1e-14")
-        x = turn(y)
+                f"step CG stopped at info={its} before rtol 1e-14")
+        x = (S @ y @ S).ravel()
+        warm = (y, self._M @ x, self._K @ x) if k else None
         # normwise backward error: max(symbol) is ||M + (k/2) K|| to 1%
-        residual = np.linalg.norm(rhs - self.product(x, 0.5 * k))
+        residual = np.linalg.norm(rhs - self.product(x, 0.5 * k, warm))
         scale = (np.linalg.norm(rhs)
                  + symbol.max(initial=0.0) * np.linalg.norm(x))
         if residual > 1e-12 * scale:
             raise np.linalg.LinAlgError(
                 f"step PCG residual {residual / scale:.1e} in backward "
                 "error, above 1e-12: M + (k/2) K is not the mesh's")
-        return x
+        return x, warm
 
 
 class NonFiniteSweepError(ArithmeticError):
@@ -266,19 +322,24 @@ def cn_march(cache, x, k_explicit, k_implicit, loads, out):
     """Crank-Nicolson march: out[i] = x <- (M + k_i/2 K)^-1 ((M - k'_i/2 K)
     x + l_i) for each load l_i, with k'_i = k_explicit[i] and k_i =
     k_implicit[i]; the StepMatrixCache ``cache`` supplies the products
-    and the solves, and a PCG solve starts from the previous value.
-    Writing into the caller's field avoids a copy of it.  Raises
-    NonFiniteSweepError if any value written is not finite."""
+    and the solves, and a PCG solve starts from the previous value, whose
+    products and DST-I coefficients it carries to the next step.
+    Writing into the caller's field avoids a copy of it.  Returns the
+    last solve's carry.  Raises NonFiniteSweepError if any value written
+    is not finite."""
     keys = [_step_key(k) for k in k_implicit]
+    warm = None
     for i, load in enumerate(loads):
-        rhs = cache.product(x, -0.5 * k_explicit[i])
+        rhs = cache.product(x, -0.5 * k_explicit[i], warm)
         rhs += load
         # repeats: the next step, if there is one, has the same key
-        x = out[i] = cache.solve(k_implicit[i], rhs, x,
-                                 keys[i + 1:i + 2] == keys[i:i + 1])
+        x, warm = cache.solve(k_implicit[i], rhs, x,
+                              keys[i + 1:i + 2] == keys[i:i + 1], warm)
+        out[i] = x
     finite = np.isfinite(out[:len(loads)]).all(axis=1)
     if not finite.all():
         raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
+    return warm
 
 
 def march_state(cache, grid, mom, MG, y0):
@@ -289,10 +350,10 @@ def march_state(cache, grid, mom, MG, y0):
          + np.pad(mom[..., 1], ((0, 0), (1, 0)))).T @ MG
     k = grid.k
     alphas = np.empty_like(F)
-    cn_march(cache, np.asarray(y0, dtype=float),
-             np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
+    warm = cn_march(cache, np.asarray(y0, dtype=float),
+                    np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
     a = alphas[-2]
-    alphas[-1] = cache.product(a, -0.5 * k[-1]) + F[-1]
+    alphas[-1] = cache.product(a, -0.5 * k[-1], warm) + F[-1]
     return PiecewiseConstantField(grid, alphas)
 
 
@@ -301,7 +362,7 @@ def terminal_solve(cache, y):
     StepMatrixCache ``cache``, from the last interval value; a non-finite
     terminal value (step M+1) raises NonFiniteSweepError."""
     v = y.values
-    v[-1] = cache.solve(0.0, v[-1], v[-2], repeats=False)
+    v[-1], _ = cache.solve(0.0, v[-1], v[-2], repeats=False)
     if not np.isfinite(v[-1]).all():
         raise NonFiniteSweepError(len(v))
     return y

@@ -196,17 +196,28 @@ def test_main_selftest_fails_on_a_wrong_derivative(capsys, monkeypatch):
     assert "[FAIL] example2: self-test residuals too large" in got
 
 
-def test_import_cli_leaves_scipy_optimize_unloaded():
-    """parapt finds its clamp kinks without scipy.optimize, whose import
-    alone adds about 17 MiB of resident memory to a run."""
+def cli_import_loads(module):
+    """Whether importing parapt.cli in a fresh interpreter loads module."""
     src = str(Path(parapt.problems.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, parapt.cli; "
-         "print('scipy.optimize' in sys.modules)"],
+         f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() != "False"
+
+
+def test_import_cli_leaves_scipy_optimize_unloaded():
+    """parapt finds its clamp kinks without scipy.optimize, whose import
+    alone adds about 17 MiB of resident memory to a run."""
+    assert not cli_import_loads("scipy.optimize")
+
+
+def test_import_cli_leaves_scipy_sparse_linalg_unloaded():
+    """The step solver runs its own CG loop, so parapt needs neither
+    scipy's cg nor its LinearOperator."""
+    assert not cli_import_loads("scipy.sparse.linalg")
 
 
 def test_main_uncreatable_out_exits_1(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import trapezoid
+from scipy.linalg.lapack import dpbtrs
 
 import parapt.state
 from helpers import (dense_state_oracle, element_assembly, element_mass,
@@ -11,7 +12,8 @@ from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.problems import manufactured_smooth
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                          discretize_terms, hat_moments, solve_state)
+                          cn_march, discretize_terms, hat_moments,
+                          solve_state)
 from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
@@ -144,22 +146,112 @@ def test_uniform_sweeps_build_one_factor():
     assert len(kinds(cache.record, "factor")) == 1
 
 
+def uniform_sweeps(nh):
+    """State and adjoint of a 16-step uniform sweep at mesh size nh
+    through one cache; returns both fields' values and the cache's
+    record."""
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = uniform_grid(0.1, 16)
+    term = RhsTerm(interpolate(mesh, lambda x, y: x * (1.0 - y)),
+                   lambda t: np.cos(30.0 * t))
+    cache = StepMatrixCache(Mh, Kh)
+    y = solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    p = solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
+    return y.values, p.values, cache.record
+
+
+@pytest.mark.parametrize("nh, factors, other", [(65, 1, 0), (129, 0, 10**9)])
+def test_uniform_grid_bands_only_below_m_127(nh, factors, other,
+                                              monkeypatch):
+    """A uniform grid's repeating step size is factored at nh=65 (m=63)
+    and solved by PCG at nh=129 (m=127), from where the band costs more
+    than it saves.  States and adjoints agree with the other path's, taken
+    by moving the bound, to 1e-12 relative."""
+    y, p, record = uniform_sweeps(nh)
+    assert len(kinds(record, "factor")) == factors
+    assert len(kinds(record, "band")) == (32 if factors else 0)
+    monkeypatch.setattr(parapt.state, "_BAND_BELOW_M", other)
+    y_other, p_other, record = uniform_sweeps(nh)
+    assert len(kinds(record, "factor")) == 1 - factors
+    for a, b in ((y, y_other), (p, p_other)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("nh", [4, 5, 6, 7, 17])
+def test_closed_form_A_matches_product(nh):
+    """The cache's A, built from cotangents, is sqrt(w/2) S (2 Asym) S to
+    rounding, for odd and even m."""
+    mesh = build_mesh(nh)
+    cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
+    m = nh - 2
+    S = cache._S
+    two_asym = np.eye(m, k=-1) - np.eye(m, k=1)    # U - U', U[i, i-1] = 1
+    w = 1.0 / (12.0 * (m + 1) ** 2)
+    want = np.sqrt(0.5 * w) * (S @ two_asym @ S)
+    assert np.abs(cache._A - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_pcg_zero_rhs_gives_exact_zeros():
+    """A zero right-hand side gives exact zeros in no CG iteration, also
+    from a nonzero guess."""
+    mesh = build_mesh(17)
+    cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
+    for k in (0.0, 0.013):
+        x, _ = cache.solve(k, np.zeros(cache.n), np.ones(cache.n),
+                           repeats=False)
+        assert np.all(x == 0.0), k
+        assert cache.record[-1] == ("pcg", k, 0)
+
+
+def test_graded_march_reuses_products_bit_for_bit(rng):
+    """cn_march takes each step's M x and K x from the previous PCG
+    solve's residual check: the march equals, to the last bit, one that
+    forms both sparse products afresh and passes on only the DST-I
+    coefficients, and it returns them equal to fresh products.  Turning
+    the previous value again instead of reusing its coefficients changes
+    the guess by rounding only: to 1e-12 relative."""
+    mesh = build_mesh(17)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    k = graded_grid(1.0, 16, 2).k
+    loads = rng.normal(size=(len(k), Mh.shape[0]))
+    x0 = rng.normal(size=Mh.shape[0])
+    cache = StepMatrixCache(Mh, Kh)
+    out = np.empty_like(loads)
+    _, Mx, Kx = cn_march(cache, x0, k, k, loads, out)
+    assert np.array_equal(Mx, Mh @ out[-1])
+    assert np.array_equal(Kx, Kh @ out[-1])
+    fresh, turned = StepMatrixCache(Mh, Kh), StepMatrixCache(Mh, Kh)
+    x = y = x0
+    warm = None
+    for i, load in enumerate(loads):
+        rhs = Mh @ x + (-0.5 * k[i]) * (Kh @ x) + load
+        x, warm = fresh.solve(k[i], rhs, x, False,
+                              warm and (warm[0], None, None))
+        assert np.array_equal(x, out[i]), i
+        rhs = Mh @ y + (-0.5 * k[i]) * (Kh @ y) + load
+        y, _ = turned.solve(k[i], rhs, y, repeats=False)
+        assert np.linalg.norm(y - out[i]) <= 1e-12 * np.linalg.norm(y), i
+    assert cache.record == fresh.record
+    assert {kind for kind, _, _ in cache.record} == {"pcg"}
+
+
 @pytest.mark.parametrize("nh", [3, 4, 5, 17, 65, 129])
 def test_pcg_step_solve_matches_band(nh, rng):
     """A step size solved once goes through PCG, builds no factor, and
-    agrees with the banded solve to 1e-12 relative.  The preconditioner
-    keeps it to at most 25 iterations from a random guess; plain CG takes
-    hundreds at nh=65 and k=2."""
+    agrees with a solve by the banded factor to 1e-12 relative.  The
+    preconditioner keeps it to at most 25 iterations from a random guess;
+    plain CG takes hundreds at nh=65 and k=2."""
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     n = Mh.shape[0]
     for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
         cache = StepMatrixCache(Mh, Kh)
         rhs, x0 = rng.normal(size=n), rng.normal(size=n)
-        pcg = cache.solve(k, rhs.copy(), x0, repeats=False)
-        band = cache.solve(k, rhs.copy(), x0, repeats=True)
-        assert [kind for kind, _, _ in cache.record] == ["pcg", "factor",
-                                                         "band"], k
+        pcg, _ = cache.solve(k, rhs.copy(), x0, repeats=False)
+        band, info = dpbtrs(cache.get(k), rhs, lower=1)
+        assert info == 0, k
+        assert [kind for kind, _, _ in cache.record] == ["pcg", "factor"], k
         assert (np.linalg.norm(pcg - band)
                 <= 1e-12 * np.linalg.norm(band)), k
         assert cache.record[0][2] <= 25, k
@@ -206,9 +298,9 @@ def test_pcg_gives_up_after_100_iterations(monkeypatch):
     """Without its preconditioner CG needs hundreds of iterations on the
     larger graded steps at nh=65; the step solve stops at 100 and raises
     LinAlgError."""
-    real = parapt.state.cg
-    monkeypatch.setattr(parapt.state, "cg",
-                        lambda A, b, **kw: real(A, b, **{**kw, "M": None}))
+    real = parapt.state._cg
+    monkeypatch.setattr(parapt.state, "_cg", lambda operator, inverse, *args:
+                        real(operator, 1.0, *args))
     mesh = build_mesh(65)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     grid = graded_grid(1.0, 8, 2)
@@ -272,7 +364,7 @@ def test_pcg_residual_guard_rejects_other_matrices(mass, rng):
         rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             cache.solve(k, rhs.copy(), x0, repeats=False)
-        x = cache.solve(k, rhs.copy(), x0, repeats=True)
+        x, _ = cache.solve(k, rhs.copy(), x0, repeats=True)
         assert (np.linalg.norm(rhs - (A + 0.5 * k * Kh) @ x)
                 <= 1e-12 * np.linalg.norm(rhs)), k
 
@@ -287,7 +379,7 @@ def test_pcg_on_non_square_grid_raises():
         cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=False)
     assert cache.record == []
     np.testing.assert_allclose(
-        cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=True), rhs / 1.25,
+        cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=True)[0], rhs / 1.25,
         rtol=1e-15)
 
 
@@ -371,9 +463,9 @@ def test_non_finite_terminal_value_fails_fast(small_space, monkeypatch):
     _, Mh, Kh, _, _ = small_space
     real = StepMatrixCache.solve
     monkeypatch.setattr(
-        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats:
-        np.full_like(rhs, np.nan) if k == 0 else real(self, k, rhs, x0,
-                                                      repeats))
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, warm=None:
+        (np.full_like(rhs, np.nan), None) if k == 0
+        else real(self, k, rhs, x0, repeats, warm))
     grid = uniform_grid(1.0, 4)
     with pytest.raises(NonFiniteSweepError) as info:
         solve_state(Mh, Kh, grid, [], np.ones(Mh.shape[0]))
