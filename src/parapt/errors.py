@@ -118,6 +118,7 @@ class StudyResult:
     iterations: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     failures: dict = field(default_factory=dict)
+    solutions: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -136,7 +137,9 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
     orders either way.  A level whose solve raises FixedPointError,
     NonFiniteSweepError or LinAlgError is recorded in ``failures`` (sweeps
     None unless the error carries a report) and the next level runs.
-    Every table is built, even empty.
+    Every table is built, even empty.  Each solved level's (control,
+    state, adjoint) is kept in ``solutions`` by M, control None without a
+    control component.
     """
     if any(M < 2 for M in levels) or any(
             a >= b for a, b in zip(levels, levels[1:])):
@@ -163,13 +166,13 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
         try:
             if controlled:
                 r = fixed_point_solve(dp, grid, threshold=threshold)
-                y, p, sweeps = r.state, r.adjoint, r.iterations
+                u, y, p, sweeps = r.control, r.state, r.adjoint, r.iterations
             else:
                 cache = StepMatrixCache(M_h, K_h)
                 y = solve_state(M_h, K_h, grid, dp.source_terms, dp.y0,
                                 cache=cache)
                 p = solve_adjoint(M_h, K_h, grid, terms=h_terms, cache=cache)
-                sweeps = 0
+                u, sweeps = None, 0
         except (FixedPointError, NonFiniteSweepError,
                 np.linalg.LinAlgError) as exc:
             result.failures[M] = f"{type(exc).__name__}: {exc}"
@@ -177,6 +180,7 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
             result.iterations.append(report.iterations if report else None)
             result.wall_times.append(time.perf_counter() - tic)
             continue
+        result.solutions[M] = (u, y, p)
         errs = {
             "state": field_error_norms(y_pairs, y, mesh, M_h),
             "state_projected": field_error_norms(
@@ -185,7 +189,7 @@ def run_study(problem, levels, n_per_side=65, threshold=1e-5, verbose=False):
         }
         if controlled:
             errs["control"] = control_norms((ex.u_funcs, ex.u_breaks),
-                                            r.control, problem.T)
+                                            u, problem.T)
         for key in entries:
             entries[key].append((level, M, grid.k_max, errs[key]))
         result.iterations.append(sweeps)

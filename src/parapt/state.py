@@ -219,19 +219,6 @@ class StepMatrixCache:
         self._factor = None
         self.record = []
 
-    def product(self, x, s, warm=None):
-        """M x + s K x, the sum of the two sparse products; at s = 0 it is
-        M x alone, so K x is neither formed nor able to spread a NaN.
-        ``warm``, the carry of the PCG solve that returned x, holds both
-        products already, so none is formed again."""
-        if warm:
-            _, Mx, Kx = warm
-            return Mx + s * Kx
-        r = self._M @ x
-        if s:
-            r += s * (self._K @ x)
-        return r
-
     def get(self, k):
         """Lower banded Cholesky factor of M + (k/2) K."""
         key = _step_key(k)
@@ -248,34 +235,35 @@ class StepMatrixCache:
             self.record.append(("factor", float(k), None))
         return self._factor
 
-    def solve(self, k, rhs, x0, repeats, warm=None):
+    def solve(self, k, rhs, x0, repeats, xhat0=None):
         """Solve (M + (k/2) K) x = rhs for step size k; may overwrite rhs.
         ``repeats`` says whether the next solve has the same step size;
         unless it does on a grid with m below 127, or k's factor is
-        alive, PCG solves from the guess x0, or from the DST-I
-        coefficients in ``warm``, the carry of the PCG solve that returned
-        x0.  Returns x and its carry: (DST-I coefficients, M x, K x) after
-        a PCG solve with k > 0, else None."""
+        alive, PCG solves from the guess x0, or from its DST-I
+        coefficients ``xhat0`` when given.  Returns (x, M x, K x, x^), x^
+        being x's DST-I coefficients after a PCG solve and None after a
+        banded one."""
         if _step_key(k) != self._key and not (repeats and self._band):
-            return self._pcg(float(k), rhs, x0, warm)
+            return self._pcg(float(k), rhs, x0, xhat0)
         x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
         self.record.append(("band", float(k), None))
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-        return x, None
+        return x, self._M @ x, self._K @ x, None
 
-    def _pcg(self, k, rhs, x0, warm):
+    def _pcg(self, k, rhs, x0, xhat0):
         """CG on S (M + (k/2) K) S, preconditioned by 1/symbol, to relative
         residual 1e-14 in at most 100 iterations.  S is orthogonal, so this
         is CG on M + (k/2) K under the separable solve, turned.  A zero
-        right-hand side gives zeros, a non-finite one NaN at once.  CG
-        never multiplies by the cache's M and K, so one true residual r
-        through them checks x: it raises LinAlgError when the backward
-        error ||r|| / (||rhs|| + ||M + (k/2) K|| ||x||) is above 1e-12, as
-        it does on a grid that is not square.  A bound on ||r|| / ||rhs||
-        alone would fail correct solves, since rounding x costs ||M + (k/2)
-        K|| ||x|| eps, which is thousands of times eps ||rhs|| on fine
-        meshes."""
+        right-hand side gives zeros, a non-finite one NaN for x, M x and K
+        x at once.  CG never multiplies by the cache's M and K, so one true
+        residual r through them checks x: it raises LinAlgError unless the
+        backward error ||r|| / (||rhs|| + ||M + (k/2) K|| ||x||) is at most
+        1e-12, as on a grid that is not square or where r is NaN.  A bound
+        on ||r|| / ||rhs|| alone would fail correct solves, since rounding x
+        costs ||M + (k/2) K|| ||x|| eps, which is thousands of times eps
+        ||rhs|| on fine meshes.  Returns (x, M x, K x, x^), the products
+        those of the check, x^ the DST-I coefficients CG solved for."""
         S, A = self._S, self._A
         m = len(S)
         if m * m != self.n:
@@ -283,30 +271,33 @@ class StepMatrixCache:
                 f"step PCG needs an m x m grid of nodes, got n={self.n}")
         if not np.all(np.isfinite(rhs)):
             self.record.append(("pcg", k, None))
-            return np.full_like(rhs, np.nan), None
+            nan = np.full_like(rhs, np.nan)
+            return nan, nan, nan, None
         symbol = self._mass_symbol + 0.5 * k * self._stiffness_symbol
         b = S @ np.reshape(rhs, (m, m)) @ S
         tol = 1e-14 * np.linalg.norm(b)
         if not tol:
             y = np.zeros_like(b)
+        elif xhat0 is None:
+            y = S @ np.reshape(x0, (m, m)) @ S
         else:
-            y = warm[0].copy() if warm else S @ np.reshape(x0, (m, m)) @ S
+            y = xhat0.copy()
         its = _cg(lambda v: symbol * v + A @ v @ A.T, 1.0 / symbol, b, y, tol)
         self.record.append(("pcg", k, its))
         if its == 100:
             raise np.linalg.LinAlgError(
                 f"step CG stopped at info={its} before rtol 1e-14")
         x = (S @ y @ S).ravel()
-        warm = (y, self._M @ x, self._K @ x) if k else None
+        Mx, Kx = self._M @ x, self._K @ x
         # normwise backward error: max(symbol) is ||M + (k/2) K|| to 1%
-        residual = np.linalg.norm(rhs - self.product(x, 0.5 * k, warm))
+        residual = np.linalg.norm(rhs - (Mx + 0.5 * k * Kx))
         scale = (np.linalg.norm(rhs)
                  + symbol.max(initial=0.0) * np.linalg.norm(x))
-        if residual > 1e-12 * scale:
+        if not residual <= 1e-12 * scale:
             raise np.linalg.LinAlgError(
                 f"step PCG residual {residual / scale:.1e} in backward "
                 "error, above 1e-12: M + (k/2) K is not the mesh's")
-        return x, warm
+        return x, Mx, Kx, y
 
 
 class NonFiniteSweepError(ArithmeticError):
@@ -321,25 +312,24 @@ class NonFiniteSweepError(ArithmeticError):
 def cn_march(cache, x, k_explicit, k_implicit, loads, out):
     """Crank-Nicolson march: out[i] = x <- (M + k_i/2 K)^-1 ((M - k'_i/2 K)
     x + l_i) for each load l_i, with k'_i = k_explicit[i] and k_i =
-    k_implicit[i]; the StepMatrixCache ``cache`` supplies the products
-    and the solves, and a PCG solve starts from the previous value, whose
-    products and DST-I coefficients it carries to the next step.
-    Writing into the caller's field avoids a copy of it.  Returns the
-    last solve's carry.  Raises NonFiniteSweepError if any value written
-    is not finite."""
+    k_implicit[i], solved by the StepMatrixCache ``cache``.  Each
+    right-hand side is formed from the M x and K x the previous solve
+    returned, and a PCG solve starts from the previous value or its DST-I
+    coefficients.  Writing into the caller's field avoids a copy of it.
+    Returns (M x, K x) of the last value.  Raises NonFiniteSweepError if
+    any value written is not finite."""
     keys = [_step_key(k) for k in k_implicit]
-    warm = None
+    Mx, Kx, xhat = cache._M @ x, cache._K @ x, None
     for i, load in enumerate(loads):
-        rhs = cache.product(x, -0.5 * k_explicit[i], warm)
-        rhs += load
+        rhs = Mx + (-0.5 * k_explicit[i]) * Kx + load
         # repeats: the next step, if there is one, has the same key
-        x, warm = cache.solve(k_implicit[i], rhs, x,
-                              keys[i + 1:i + 2] == keys[i:i + 1], warm)
+        x, Mx, Kx, xhat = cache.solve(k_implicit[i], rhs, x,
+                                      keys[i + 1:i + 2] == keys[i:i + 1], xhat)
         out[i] = x
     finite = np.isfinite(out[:len(loads)]).all(axis=1)
     if not finite.all():
         raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
-    return warm
+    return Mx, Kx
 
 
 def march_state(cache, grid, mom, MG, y0):
@@ -350,10 +340,9 @@ def march_state(cache, grid, mom, MG, y0):
          + np.pad(mom[..., 1], ((0, 0), (1, 0)))).T @ MG
     k = grid.k
     alphas = np.empty_like(F)
-    warm = cn_march(cache, np.asarray(y0, dtype=float),
-                    np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
-    a = alphas[-2]
-    alphas[-1] = cache.product(a, -0.5 * k[-1], warm) + F[-1]
+    Mx, Kx = cn_march(cache, np.asarray(y0, dtype=float),
+                      np.concatenate([[0.0], k[:-1]]), k, F[:-1], alphas)
+    alphas[-1] = Mx + (-0.5 * k[-1]) * Kx + F[-1]
     return PiecewiseConstantField(grid, alphas)
 
 
@@ -362,7 +351,7 @@ def terminal_solve(cache, y):
     StepMatrixCache ``cache``, from the last interval value; a non-finite
     terminal value (step M+1) raises NonFiniteSweepError."""
     v = y.values
-    v[-1], _ = cache.solve(0.0, v[-1], v[-2], repeats=False)
+    v[-1] = cache.solve(0.0, v[-1], v[-2], repeats=False)[0]
     if not np.isfinite(v[-1]).all():
         raise NonFiniteSweepError(len(v))
     return y

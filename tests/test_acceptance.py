@@ -44,29 +44,19 @@ def nonuniform_grid(T, M, seed):
 
 @pytest.fixture(scope="module")
 def ex1_study():
-    """The example-1 study, plus the SolveReport of each level keyed by M.
-
-    The reports are captured from inside run_study, so criterion 5 measures
-    the very solutions whose analytic errors the tables hold.
-    """
-    reports = {}
-
-    def keep(dp, grid, **kwargs):
-        reports[grid.M] = fixed_point_solve(dp, grid, **kwargs)
-        return reports[grid.M]
-
+    """The example-1 study and its wall time.  The study keeps each level's
+    solution, so criterion 5 measures the very solutions whose analytic
+    errors the tables hold."""
     tic = time.perf_counter()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("parapt.errors.fixed_point_solve", keep)
-        res = run_study(example1(), EX1_LEVELS, n_per_side=65)
-    return res, time.perf_counter() - tic, reports
+    res = run_study(example1(), EX1_LEVELS, n_per_side=65)
+    return res, time.perf_counter() - tic
 
 
-def time_fields(report, grid):
+def time_fields(state, adjoint, grid):
     """The fields criterion 5 compares in L2(L2), by table name."""
-    return {"state": report.state,
-            "state_projected": dual_linear_projection(report.state, grid),
-            "adjoint": report.adjoint}
+    return {"state": state,
+            "state_projected": dual_linear_projection(state, grid),
+            "adjoint": adjoint}
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +73,7 @@ def ex1_reference():
     M_h, K_h = mass_matrix(mesh), stiffness_matrix(mesh)
     grid = uniform_grid(prob.T, EX1_M_REF)
     ref = fixed_point_solve(discretize_problem(prob, mesh, M_h, K_h), grid)
-    fields = time_fields(ref, grid)
+    fields = time_fields(ref.state, ref.adjoint, grid)
     ex = prob.exact
     y_pairs = [(s.theta, interpolate(mesh, s.profile)) for s in ex.y]
     p_pairs = [(s.theta, interpolate(mesh, s.profile)) for s in ex.p]
@@ -283,16 +273,16 @@ def test_criterion_5_first_benchmark_convergence(ex1_study, ex1_reference):
     but solves the wrong problem fails there.
     """
     tic = time.perf_counter()
-    result, study_wall, reports = ex1_study
+    result, study_wall = ex1_study
     u_ref, ref_fields, M_h, floors, ref_wall = ex1_reference
     T = example1().T
     dists = {name: [] for name in EOC_BANDS}
     ks = []
     for M in EX1_LEVELS:
         grid = uniform_grid(T, M)
-        dists["control"].append(
-            control_norms(reports[M].control, u_ref, T)["L2"])
-        for name, f in time_fields(reports[M], grid).items():
+        u, y, p = result.solutions[M]
+        dists["control"].append(control_norms(u, u_ref, T)["L2"])
+        for name, f in time_fields(y, p, grid).items():
             dists[name].append(l2l2_distance(f, ref_fields[name], M_h))
         ks.append(grid.k_max)
 
@@ -330,7 +320,7 @@ def test_criterion_6_second_benchmark_convergence(ex2_study):
 
 
 def test_criterion_7_iteration_counts(ex1_study):
-    result, _, _ = ex1_study
+    result, _ = ex1_study
     its = result.iterations
     ok = (result.ok and all(3 <= i <= 6 for i in its)
           and max(its) - min(its) <= 1)
@@ -342,7 +332,7 @@ def test_criterion_7_iteration_counts(ex1_study):
 def test_criterion_8_control_error_magnitudes(ex1_study):
     """Informational cross-check of absolute control error magnitudes
     against the published reference values; never gates the suite."""
-    result, _, _ = ex1_study
+    result, _ = ex1_study
     mini = run_study(example1(), [8, 16], n_per_side=65)
     mine_k = {r.M: r.err["L2"] for r in mini.tables["control"]}
     sched = {r.M: r.err["L2"] for r in result.tables["control"]}

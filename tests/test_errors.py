@@ -5,8 +5,9 @@ import pytest
 
 import parapt.errors
 from helpers import l1_norm, l2l2_distance, linf_norm
+from parapt.control import control_norms
 from parapt.errors import eoc_table, field_error_norms, run_study
-from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
+from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import discretize_problem, fixed_point_solve
 from parapt.problems import example1, manufactured_smooth
 from parapt.quadrature import gauss_points
@@ -226,6 +227,35 @@ def test_run_study_zero_threshold_without_control():
         assert rep.converged and rep.iterations == 2
 
 
+@pytest.mark.parametrize("problem", [example1, manufactured_smooth])
+def test_run_study_keeps_the_solutions_its_tables_measure(problem):
+    """Each level's kept state and adjoint reproduce that level's state,
+    projected-state and adjoint errors to the last bit, and its kept
+    control the control error; without a control component the control is
+    None."""
+    prob = problem()
+    res = run_study(prob, [4, 8], n_per_side=9)
+    mesh = build_mesh(9)
+    M_h = mass_matrix(mesh)
+    ex = prob.exact
+    y_pairs = [(t.theta, interpolate(mesh, t.profile)) for t in ex.y]
+    p_pairs = [(t.theta, interpolate(mesh, t.profile)) for t in ex.p]
+    assert list(res.solutions) == [4, 8]
+    for level, M in enumerate([4, 8]):
+        u, y, p = res.solutions[M]
+        err = {key: rows[level].err for key, rows in res.tables.items()}
+        assert field_error_norms(y_pairs, y, mesh, M_h) == err["state"]
+        assert field_error_norms(
+            y_pairs, dual_linear_projection(y, uniform_grid(prob.T, M)),
+            mesh, M_h) == err["state_projected"]
+        assert field_error_norms(p_pairs, p, mesh, M_h) == err["adjoint"]
+        if prob.uad.dim:
+            assert control_norms((ex.u_funcs, ex.u_breaks), u,
+                                 prob.T) == err["control"]
+        else:
+            assert u is None and "control" not in err
+
+
 def test_run_study_records_solver_failures(monkeypatch):
     real = parapt.errors.fixed_point_solve
     monkeypatch.setattr(parapt.errors, "fixed_point_solve",
@@ -252,6 +282,7 @@ def test_run_study_records_linalg_error_and_continues(monkeypatch):
     assert res.failures == {
         8: "LinAlgError: leading minor not positive definite"}
     assert res.iterations[1] is None and res.iterations[0] > 0
+    assert list(res.solutions) == [4, 16]
     for rows in res.tables.values():
         assert [r.M for r in rows] == [4, 16]
 

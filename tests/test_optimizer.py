@@ -228,9 +228,9 @@ def test_non_finite_terminal_value_ends_in_fixed_point_error(coarse_setup,
     prob, _, dp = coarse_setup
     real = StepMatrixCache.solve
     monkeypatch.setattr(
-        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, warm=None:
-        (np.full_like(rhs, np.nan), None) if k == 0
-        else real(self, k, rhs, x0, repeats, warm))
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, xhat0=None:
+        (np.full_like(rhs, np.nan),) * 3 + (None,) if k == 0
+        else real(self, k, rhs, x0, repeats, xhat0))
     with pytest.raises(FixedPointError, match="step 6 of a time sweep") \
             as info:
         fixed_point_solve(dp, uniform_grid(prob.T, 5))

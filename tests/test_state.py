@@ -194,23 +194,24 @@ def test_closed_form_A_matches_product(nh):
 
 def test_pcg_zero_rhs_gives_exact_zeros():
     """A zero right-hand side gives exact zeros in no CG iteration, also
-    from a nonzero guess."""
+    from a nonzero guess, and so do its products and its DST-I
+    coefficients."""
     mesh = build_mesh(17)
     cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
     for k in (0.0, 0.013):
-        x, _ = cache.solve(k, np.zeros(cache.n), np.ones(cache.n),
-                           repeats=False)
-        assert np.all(x == 0.0), k
+        returned = cache.solve(k, np.zeros(cache.n), np.ones(cache.n),
+                               repeats=False)
+        assert all(np.all(v == 0.0) for v in returned), k
         assert cache.record[-1] == ("pcg", k, 0)
 
 
 def test_graded_march_reuses_products_bit_for_bit(rng):
-    """cn_march takes each step's M x and K x from the previous PCG
-    solve's residual check: the march equals, to the last bit, one that
+    """cn_march forms each right-hand side from the M x and K x the
+    previous solve returned: the march equals, to the last bit, one that
     forms both sparse products afresh and passes on only the DST-I
-    coefficients, and it returns them equal to fresh products.  Turning
-    the previous value again instead of reusing its coefficients changes
-    the guess by rounding only: to 1e-12 relative."""
+    coefficients, and it returns the last value's products equal to fresh
+    ones.  Turning the previous value again instead of reusing its
+    coefficients changes the guess by rounding only: to 1e-12 relative."""
     mesh = build_mesh(17)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     k = graded_grid(1.0, 16, 2).k
@@ -218,19 +219,18 @@ def test_graded_march_reuses_products_bit_for_bit(rng):
     x0 = rng.normal(size=Mh.shape[0])
     cache = StepMatrixCache(Mh, Kh)
     out = np.empty_like(loads)
-    _, Mx, Kx = cn_march(cache, x0, k, k, loads, out)
+    Mx, Kx = cn_march(cache, x0, k, k, loads, out)
     assert np.array_equal(Mx, Mh @ out[-1])
     assert np.array_equal(Kx, Kh @ out[-1])
     fresh, turned = StepMatrixCache(Mh, Kh), StepMatrixCache(Mh, Kh)
     x = y = x0
-    warm = None
+    xhat = None
     for i, load in enumerate(loads):
         rhs = Mh @ x + (-0.5 * k[i]) * (Kh @ x) + load
-        x, warm = fresh.solve(k[i], rhs, x, False,
-                              warm and (warm[0], None, None))
+        x, _, _, xhat = fresh.solve(k[i], rhs, x, False, xhat)
         assert np.array_equal(x, out[i]), i
         rhs = Mh @ y + (-0.5 * k[i]) * (Kh @ y) + load
-        y, _ = turned.solve(k[i], rhs, y, repeats=False)
+        y = turned.solve(k[i], rhs, y, repeats=False)[0]
         assert np.linalg.norm(y - out[i]) <= 1e-12 * np.linalg.norm(y), i
     assert cache.record == fresh.record
     assert {kind for kind, _, _ in cache.record} == {"pcg"}
@@ -248,7 +248,7 @@ def test_pcg_step_solve_matches_band(nh, rng):
     for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
         cache = StepMatrixCache(Mh, Kh)
         rhs, x0 = rng.normal(size=n), rng.normal(size=n)
-        pcg, _ = cache.solve(k, rhs.copy(), x0, repeats=False)
+        pcg = cache.solve(k, rhs.copy(), x0, repeats=False)[0]
         band, info = dpbtrs(cache.get(k), rhs, lower=1)
         assert info == 0, k
         assert [kind for kind, _, _ in cache.record] == ["pcg", "factor"], k
@@ -258,22 +258,26 @@ def test_pcg_step_solve_matches_band(nh, rng):
 
 
 @pytest.mark.parametrize("nh", [3, 5, 17, 65])
-def test_product_equals_sum_of_sparse_products(nh, rng):
-    """M x + s K x is the two sparse products' sum to the last bit, in the
-    forms the sweeps and PCG use; at s = 0 it is M x even where K x is
-    NaN, so a K x multiplied by zero is never formed."""
+def test_solve_returns_sparse_products_of_x(nh, rng):
+    """Every solve returns M x and K x equal to the sparse products of its
+    x to the last bit: by the band, by PCG at k > 0 and by PCG at k = 0,
+    the terminal solve.  PCG's DST-I coefficients turn back into x to the
+    last bit; the band returns none."""
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
-    cache = StepMatrixCache(Mh, Kh)
-    x = rng.normal(size=Mh.shape[0])
-    for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
-        assert np.array_equal(cache.product(x, -0.5 * k),
-                              Mh @ x - 0.5 * k * (Kh @ x)), k
-        assert np.array_equal(cache.product(x, 0.5 * k),
-                              Mh @ x + 0.5 * k * (Kh @ x)), k
-    K_nan = Kh.copy()
-    K_nan.data[:] = np.nan
-    assert np.array_equal(StepMatrixCache(Mh, K_nan).product(x, 0.0), Mh @ x)
+    for k, repeats in ((1e-6, True), (0.013, True), (2.0, True),
+                       (1e-6, False), (0.013, False), (2.0, False),
+                       (0.0, False)):
+        cache = StepMatrixCache(Mh, Kh)
+        rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
+        x, Mx, Kx, xhat = cache.solve(k, rhs, x0, repeats)
+        assert cache.record[-1][0] == ("band" if repeats else "pcg"), k
+        assert np.array_equal(Mx, Mh @ x), (k, repeats)
+        assert np.array_equal(Kx, Kh @ x), (k, repeats)
+        if repeats:
+            assert xhat is None
+        else:
+            assert np.array_equal((cache._S @ xhat @ cache._S).ravel(), x)
 
 
 def test_pcg_non_finite_load_fails_fast_on_graded_grid():
@@ -364,9 +368,26 @@ def test_pcg_residual_guard_rejects_other_matrices(mass, rng):
         rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             cache.solve(k, rhs.copy(), x0, repeats=False)
-        x, _ = cache.solve(k, rhs.copy(), x0, repeats=True)
+        x = cache.solve(k, rhs.copy(), x0, repeats=True)[0]
         assert (np.linalg.norm(rhs - (A + 0.5 * k * Kh) @ x)
                 <= 1e-12 * np.linalg.norm(rhs)), k
+
+
+@pytest.mark.parametrize("k", [0.0, 0.013])
+def test_pcg_residual_guard_rejects_nan_stiffness(k, rng):
+    """CG runs on the mesh's symbol and never meets a NaN in the cache's
+    K, but the true residual through it is NaN, which the guard must not
+    pass: it raises at k = 0, where K x is multiplied by 0, and at k > 0
+    alike, after recording the solve."""
+    mesh = build_mesh(17)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    K_nan = Kh.copy()
+    K_nan.data[:] = np.nan
+    cache = StepMatrixCache(Mh, K_nan)
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        cache.solve(k, rng.normal(size=cache.n), np.zeros(cache.n),
+                    repeats=False)
+    assert [kind for kind, _, _ in cache.record] == ["pcg"]
 
 
 def test_pcg_on_non_square_grid_raises():
@@ -463,9 +484,9 @@ def test_non_finite_terminal_value_fails_fast(small_space, monkeypatch):
     _, Mh, Kh, _, _ = small_space
     real = StepMatrixCache.solve
     monkeypatch.setattr(
-        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, warm=None:
-        (np.full_like(rhs, np.nan), None) if k == 0
-        else real(self, k, rhs, x0, repeats, warm))
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, xhat0=None:
+        (np.full_like(rhs, np.nan),) * 3 + (None,) if k == 0
+        else real(self, k, rhs, x0, repeats, xhat0))
     grid = uniform_grid(1.0, 4)
     with pytest.raises(NonFiniteSweepError) as info:
         solve_state(Mh, Kh, grid, [], np.ones(Mh.shape[0]))
