@@ -148,10 +148,10 @@ class StepMatrixCache:
     and the factor the band needs first:
 
         nh    band          PCG           factor
-        65    332-349 us    564-608 us     4-5 ms
-        97    0.95-1.19 ms  1.28-1.74 ms  10-15 ms
-        113   1.63-1.74 ms  2.11-2.28 ms  17-18 ms
-        129   2.8-4.4 ms    2.9-3.7 ms    31-35 ms
+        65    274-312 us    460-496 us     4-5 ms
+        97    0.88-0.97 ms  0.94-1.01 ms  10-13 ms
+        113   1.18-1.28 ms  1.19-1.37 ms  16-23 ms
+        129   1.67-1.74 ms  1.50-1.97 ms  21-31 ms
 
     At nh = 129 the band of (m + 2) n doubles (16.6 MB) no longer pays.
 
@@ -176,13 +176,25 @@ class StepMatrixCache:
         -sqrt(w/2) sin(q theta) 2/(m+1) (cot((p+q) theta/2)
                                          + cot((p-q) theta/2)).
 
-    The cache keeps M, K, S, A, the two symbols and its one live factor:
-    each study's cache factors at most once (a uniform grid below m = 127
-    at its first step, any other grid never), so nothing is precomputed
-    for a factor.  A factor writes the lower triangle of the sparse sum
-    M + (k/2) K into a zero LAPACK lower band and factors it in place.
-    Only one factor is alive at a time, so memory does not grow with the
-    number of intervals.
+    PCG holds X^ in parity blocks, a (2, 2, o, o) array of the modes of
+    parity a by parity b, odd modes p = 1, 3, ... first, the even ones
+    padded with exact zeros to o = (m + 1) // 2.  S[p, m+1-q] = (-1)^(p+1)
+    S[p, q], so S is blockdiag(F_O, F_E) after a butterfly, the odd/even
+    reduction of Buzbee, Golub and Nielson (1970): a turn folds rows and
+    columns into sums and differences of mirror nodes and makes one
+    batched product with F on each side.  A couples only modes of unlike
+    parity, so A X^ A' maps block (a, b) to -A[a, a'] X^[a', b'] A[b', b],
+    a' the other parity: one batched product on each side of the reversed
+    blocks, half the dense product's work.
+
+    The cache keeps M, K, F and its transpose, A[odd, even] and A[even,
+    odd], the two padded symbols (about 3.5 m^2 doubles) and its one live
+    factor: each study's cache factors at most once (a uniform grid below
+    m = 127 at its first step, any other grid never), so nothing is
+    precomputed for a factor.  A factor writes the lower triangle of the
+    sparse sum M + (k/2) K into a zero LAPACK lower band and factors it in
+    place.  Only one factor is alive at a time, so memory does not grow
+    with the number of intervals.
 
     ``record`` lists, in order, ("factor", k, None) per factor built,
     ("band", k, None) per banded solve and ("pcg", k, n) per PCG solve of n
@@ -194,26 +206,36 @@ class StepMatrixCache:
         self.n = M_h.shape[0]
         self._M, self._K = M_h, K_h
         m = math.isqrt(self.n)
+        o, h = (m + 1) // 2, m // 2
         theta = np.pi / (m + 1)
-        j = np.arange(1, m + 1)
+        # modes in parity order, odd then even, padded to o by mode 1: the
+        # padded symbol entries repeat real ones, so max(symbol), the
+        # guard's norm estimate, is taken over the real modes
+        j = np.ones((2, o), dtype=int)
+        j[0], j[1, :h] = np.arange(1, m + 1, 2), np.arange(2, m + 1, 2)
         c = np.cos(j * np.pi / (m + 1))
-        cp, cq = c[:, None], c[None, :]
+        cp, cq = c[:, None, :, None], c[None, :, None, :]
         w = 1.0 / (12.0 * (m + 1) ** 2)
         self._mass_symbol = w * (6.0 + 2.0 * cp + 2.0 * cq + 2.0 * cp * cq)
         self._stiffness_symbol = (2.0 - 2.0 * cp) + (2.0 - 2.0 * cq)
-        # sine arguments reduced modulo 2 pi in integers, so S keeps the
-        # identity to rounding at every m
-        self._S = math.sqrt(2.0 / (m + 1)) * np.sin(
-            np.outer(j, j) % (2 * m + 2) * np.pi / (m + 1))
-        # A in closed form from cot(i theta/2) at i = p - q and p + q,
-        # set to 0 at even i, where A is 0
+        # F[a] = S[modes a, first o nodes], sine arguments reduced modulo
+        # 2 pi in integers; F_E's padding row and column are exact zeros
+        q = np.arange(1, o + 1)
+        self._F = math.sqrt(2.0 / (m + 1)) * np.sin(
+            j[:, :, None] * q % (2 * m + 2) * np.pi / (m + 1))
+        self._F[1, h:], self._F[1, :, h:] = 0.0, 0.0
+        self._FT = self._F.transpose(0, 2, 1).copy()
+        # A[odd, even] from cot(i theta/2) at i = p + q and p - q, both odd
         i = np.arange(1 - m, 2 * m + 1)
         odd = i % 2 == 1
         cot = np.zeros(len(i))
         cot[odd] = 1.0 / np.tan(i[odd] * (0.5 * theta))
         scale = -math.sqrt(0.5 * w) * 2.0 / (m + 1)
-        self._A = scale * np.sin(j * theta) * (
-            cot[j[:, None] + j + (m - 1)] + cot[j[:, None] - j + (m - 1)])
+        p, q = j[0, :, None], j[1, :h]
+        self._A = np.zeros((2, o, o))
+        self._A[0, :, :h] = scale * np.sin(q * theta) * (
+            cot[p + q + (m - 1)] + cot[p - q + (m - 1)])
+        self._A[1] = -self._A[0].T                  # A is skew
         self._band = m < _BAND_BELOW_M
         self._key = None
         self._factor = None
@@ -241,8 +263,8 @@ class StepMatrixCache:
         unless it does on a grid with m below 127, or k's factor is
         alive, PCG solves from the guess x0, or from its DST-I
         coefficients ``xhat0`` when given.  Returns (x, M x, K x, x^), x^
-        being x's DST-I coefficients after a PCG solve and None after a
-        banded one."""
+        being x's DST-I coefficients in parity blocks after a PCG solve and
+        None after a banded one."""
         if _step_key(k) != self._key and not (repeats and self._band):
             return self._pcg(float(k), rhs, x0, xhat0)
         x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
@@ -250,6 +272,34 @@ class StepMatrixCache:
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x, self._M @ x, self._K @ x, None
+
+    def _turn_in(self, X):
+        """The (m, m) grid X's DST-I coefficients S X S in parity blocks:
+        fold rows and columns into sums and differences of mirror nodes,
+        then one batched product with F on each side."""
+        m, o, h = len(X), self._F.shape[1], len(X) // 2
+        T = np.empty((2, o, m))
+        np.add(X[:h], X[::-1][:h], out=T[0, :h])
+        T[0, h:] = X[h:o]                 # the middle row of an odd m
+        np.subtract(X[:o], X[::-1][:o], out=T[1])
+        W = np.empty((2, 2, o, o))
+        np.add(T[..., :h], T[..., ::-1][..., :h], out=W[:, 0, :, :h])
+        W[:, 0, :, h:] = T[..., h:o]
+        np.subtract(T[..., :o], T[..., ::-1][..., :o], out=W[:, 1])
+        return self._F[:, None] @ W @ self._FT[None]
+
+    def _turn_out(self, Y):
+        """The grid S Y S, raveled, of parity blocks Y: the inverse of
+        _turn_in, whose folds it undoes after the transposed products."""
+        Z = self._FT[:, None] @ Y @ self._F[None]
+        o, h = Z.shape[-1], math.isqrt(self.n) // 2
+        # an odd m's middle node is taken from the sum, where the even
+        # modes' zero padding adds nothing
+        T = np.concatenate([Z[:, 0] + Z[:, 1],
+                            (Z[:, 0] - Z[:, 1])[..., ::-1][..., o - h:]],
+                           axis=-1)
+        X = np.concatenate([T[0] + T[1], (T[0] - T[1])[::-1][o - h:]])
+        return X.ravel()
 
     def _pcg(self, k, rhs, x0, xhat0):
         """CG on S (M + (k/2) K) S, preconditioned by 1/symbol, to relative
@@ -263,9 +313,10 @@ class StepMatrixCache:
         on ||r|| / ||rhs|| alone would fail correct solves, since rounding x
         costs ||M + (k/2) K|| ||x|| eps, which is thousands of times eps
         ||rhs|| on fine meshes.  Returns (x, M x, K x, x^), the products
-        those of the check, x^ the DST-I coefficients CG solved for."""
-        S, A = self._S, self._A
-        m = len(S)
+        those of the check, x^ the DST-I coefficients CG solved for, in
+        parity blocks, which CG's unknowns keep from the turn in to the
+        turn out."""
+        m = math.isqrt(self.n)
         if m * m != self.n:
             raise np.linalg.LinAlgError(
                 f"step PCG needs an m x m grid of nodes, got n={self.n}")
@@ -274,20 +325,22 @@ class StepMatrixCache:
             nan = np.full_like(rhs, np.nan)
             return nan, nan, nan, None
         symbol = self._mass_symbol + 0.5 * k * self._stiffness_symbol
-        b = S @ np.reshape(rhs, (m, m)) @ S
+        L, R = self._A[:, None], self._A[::-1][None]
+        b = self._turn_in(np.reshape(rhs, (m, m)))
         tol = 1e-14 * np.linalg.norm(b)
         if not tol:
             y = np.zeros_like(b)
         elif xhat0 is None:
-            y = S @ np.reshape(x0, (m, m)) @ S
+            y = self._turn_in(np.reshape(x0, (m, m)))
         else:
             y = xhat0.copy()
-        its = _cg(lambda v: symbol * v + A @ v @ A.T, 1.0 / symbol, b, y, tol)
+        its = _cg(lambda v: symbol * v - L @ v[::-1, ::-1] @ R,
+                  1.0 / symbol, b, y, tol)
         self.record.append(("pcg", k, its))
         if its == 100:
             raise np.linalg.LinAlgError(
                 f"step CG stopped at info={its} before rtol 1e-14")
-        x = (S @ y @ S).ravel()
+        x = self._turn_out(y)
         Mx, Kx = self._M @ x, self._K @ x
         # normwise backward error: max(symbol) is ||M + (k/2) K|| to 1%
         residual = np.linalg.norm(rhs - (Mx + 0.5 * k * Kx))

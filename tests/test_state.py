@@ -178,18 +178,71 @@ def test_uniform_grid_bands_only_below_m_127(nh, factors, other,
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def sine_matrix(m):
+    """The orthonormal m x m DST-I matrix, dense."""
+    j = np.arange(1, m + 1)
+    return np.sqrt(2.0 / (m + 1)) * np.sin(
+        np.outer(j, j) % (2 * m + 2) * np.pi / (m + 1))
+
+
+def from_blocks(Y, m):
+    """The m x m matrix of parity blocks Y (odd modes first, each block
+    padded to (m + 1) // 2), in mode order."""
+    h = m // 2
+    order = np.r_[0:m:2, 1:m:2]
+    out = np.empty((m, m))
+    out[np.ix_(order, order)] = np.block([[Y[0, 0], Y[0, 1][:, :h]],
+                                         [Y[1, 0][:h], Y[1, 1][:h, :h]]])
+    return out
+
+
+def padding(Y, m):
+    """The padded entries of parity blocks Y: the even modes' last row and
+    column when m is odd, nothing when m is even."""
+    h = m // 2
+    return np.concatenate([Y[1, :, h:].ravel(), Y[:, 1, :, h:].ravel()])
+
+
 @pytest.mark.parametrize("nh", [4, 5, 6, 7, 17])
 def test_closed_form_A_matches_product(nh):
-    """The cache's A, built from cotangents, is sqrt(w/2) S (2 Asym) S to
-    rounding, for odd and even m."""
+    """The cache's A, built from cotangents in parity blocks, is sqrt(w/2)
+    S (2 Asym) S to rounding, for odd and even m, and exactly 0 where p + q
+    is even."""
     mesh = build_mesh(nh)
     cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
     m = nh - 2
-    S = cache._S
+    S = sine_matrix(m)
     two_asym = np.eye(m, k=-1) - np.eye(m, k=1)    # U - U', U[i, i-1] = 1
     w = 1.0 / (12.0 * (m + 1) ** 2)
     want = np.sqrt(0.5 * w) * (S @ two_asym @ S)
-    assert np.abs(cache._A - want).max() <= 1e-14 * np.abs(want).max()
+    zero = np.zeros_like(cache._A[0])
+    A = from_blocks(np.array([[zero, cache._A[0]], [cache._A[1], zero]]), m)
+    assert np.abs(A - want).max() <= 1e-14 * np.abs(want).max()
+    p = np.arange(1, m + 1)
+    assert np.all(A[(p[:, None] + p) % 2 == 0] == 0.0)
+
+
+@pytest.mark.parametrize("nh", [3, 4, 5, 6, 7, 17, 18])
+def test_turns_match_dense_sine_transform(nh, rng):
+    """The turn in folds and multiplies in parity blocks to the dense S X S,
+    the turn out maps blocks Y to the dense S Y S, both to 1e-14 relative,
+    for odd and even m; the turn in pads with exact zeros, and the turn out
+    undoes it to rounding."""
+    mesh = build_mesh(nh)
+    cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
+    m = nh - 2
+    S = sine_matrix(m)
+    X = rng.normal(size=(m, m))
+    Y = cache._turn_in(X)
+    want = S @ X @ S
+    assert np.abs(from_blocks(Y, m) - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.all(padding(Y, m) == 0.0)
+    Z = rng.normal(size=Y.shape)
+    want = S @ from_blocks(Z, m) @ S
+    assert (np.abs(cache._turn_out(Z).reshape(m, m) - want).max()
+            <= 1e-14 * np.abs(want).max())
+    assert (np.abs(cache._turn_out(Y).reshape(m, m) - X).max()
+            <= 1e-14 * np.abs(X).max())
 
 
 def test_pcg_zero_rhs_gives_exact_zeros():
@@ -262,7 +315,7 @@ def test_solve_returns_sparse_products_of_x(nh, rng):
     """Every solve returns M x and K x equal to the sparse products of its
     x to the last bit: by the band, by PCG at k > 0 and by PCG at k = 0,
     the terminal solve.  PCG's DST-I coefficients turn back into x to the
-    last bit; the band returns none."""
+    last bit through the cache's own turn out; the band returns none."""
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     for k, repeats in ((1e-6, True), (0.013, True), (2.0, True),
@@ -277,7 +330,7 @@ def test_solve_returns_sparse_products_of_x(nh, rng):
         if repeats:
             assert xhat is None
         else:
-            assert np.array_equal((cache._S @ xhat @ cache._S).ravel(), x)
+            assert np.array_equal(cache._turn_out(xhat), x)
 
 
 def test_pcg_non_finite_load_fails_fast_on_graded_grid():
@@ -388,6 +441,28 @@ def test_pcg_residual_guard_rejects_nan_stiffness(k, rng):
         cache.solve(k, rng.normal(size=cache.n), np.zeros(cache.n),
                     repeats=False)
     assert [kind for kind, _, _ in cache.record] == ["pcg"]
+
+
+@pytest.mark.parametrize("nh", [17, 18, 65])
+def test_pcg_residual_guard_scale_is_the_real_symbols(nh, rng):
+    """The guard's ||M + (k/2) K|| is the largest symbol entry over real
+    modes, so a cache on (1 + 1e-9) M, whose solutions miss by a backward
+    error of 4e-12 at nh=65 and k=0.013, still raises; an estimate that
+    counted a padding of 1.0 would pass it there.  For odd m, every x^ a
+    correct cache returns keeps its padding at exact zeros, also when the
+    next solve starts from it."""
+    mesh = build_mesh(nh)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    m = nh - 2
+    for k in (0.0, 0.013):
+        cache = StepMatrixCache((1.0 + 1e-9) * Mh, Kh)
+        rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            cache.solve(k, rhs, x0, repeats=False)
+        cache, xhat = StepMatrixCache(Mh, Kh), None
+        for _ in range(2):
+            xhat = cache.solve(k, rng.normal(size=cache.n), x0, False, xhat)[3]
+            assert np.all(padding(xhat, m) == 0.0), k
 
 
 def test_pcg_on_non_square_grid_raises():
