@@ -1,12 +1,36 @@
 """Fixed-point solution of the discrete optimality system.
 
-Each sweep solves the state equation for the current control, solves the
-adjoint equation driven by the tracking misfit, and replaces the control
-by the exact clamp of -(1/alpha) times the adjoint pairing.  The sweep is
-a contraction for the regularizations considered here, and the iteration
-stops once the adjoint pairing moves by at most the threshold in the
-maximum norm over grid nodes and components.  Because the stopping test
-compares consecutive pairings, the count never drops below two sweeps.
+Each sweep maps the control to its adjoint pairing w_i = M g_i . beta, the
+adjoint of the control's state marched under the tracking misfit, and
+replaces the control by the exact clamp of -(1/alpha) w.  The sweep is a
+contraction for the regularizations considered here, and the iteration
+stops once the pairing moves by at most the threshold in the maximum norm
+over grid nodes and components.  Because the stopping test compares
+consecutive pairings, the count never drops below two sweeps.
+
+A grid whose steps differ marches the state and the adjoint in every
+sweep.  On a grid whose steps all share one step key, as every uniform
+grid's do, each step has T = M + (k/2) K and E = M - (k/2) K, and the
+control enters the state only through the weights c_ij = mom[i, j, 0] +
+mom[i, j-1, 1] of its loads c_ij M g_i at the steps j = 0..M-1.  So the
+interval values are
+
+    a_m = a^f_m + sum_i sum_{j<=m} c_ij R_i[m-j],
+    R_i[d] = (T^-1 E)^d T^-1 M g_i,
+
+a^f the state of the source and y0 alone and R_i the state of a unit load
+at step 0.  The adjoint march, beta_M = 0 and T beta_m = E beta_{m+1} +
+H_m, pairs through the same responses, as (T^-1 E)^d T^-1 is symmetric:
+w_i(m) = sum_{l>=m} R_i[l-m] . H_l, and w(M) = 0.  Its loads H_l = k M a_l
++ h_l are linear in c, so
+
+    w = w^f + G c,
+    G_i'i(m, j) = k sum_{l>=max(m, j)} (M R_i'[l-m]) . R_i[l-j],
+
+w^f the pairing under a^f, and the misfit is misfit^f + sum c . (w^f + w).
+A solve then marches D + 1 times before its first sweep, sweeps by
+algebra on G alone, and marches the reported state and its adjoint once,
+at the control of the last sweep.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +40,9 @@ import numpy as np
 from .adjoint import march_adjoint
 from .control import clamp_control, constant_control, control_to_rhs_terms
 from .fem import interpolate
-from .state import (NonFiniteSweepError, StepMatrixCache, discretize_terms,
-                    march_state, mass_rows, separable_sq_norm, term_moments,
-                    terminal_solve)
+from .state import (NonFiniteSweepError, StepMatrixCache, _step_key,
+                    discretize_terms, march_state, mass_rows,
+                    separable_sq_norm, term_moments, terminal_solve)
 
 
 class FixedPointError(RuntimeError):
@@ -51,11 +75,21 @@ def _tracking_misfit_sq(Y, MY, grid, target):
     norm, its (terms, M) interval integrals and its (terms, n) rows M g.
 
     Exact in the piecewise-constant factor, 5-point Gauss in the smooth
-    target factors.
+    target factors; not floored at 0, so it may round below.
     """
     sq, ints, MG = target
-    return max(sq + float(grid.k @ np.einsum("mi,mi->m", Y, MY))
-               - 2.0 * float(np.sum(ints.T * (Y @ MG.T))), 0.0)
+    return (sq + float(grid.k @ np.einsum("mi,mi->m", Y, MY))
+            - 2.0 * float(np.sum(ints.T * (Y @ MG.T))))
+
+
+def _adjoint_loads(Y, M_h, grid, target):
+    """The adjoint's interval loads k M y + h of the interval values Y, h
+    the target's, and Y's _tracking_misfit_sq."""
+    H = (M_h @ Y.T).T                             # rows M y, then the loads
+    misfit = _tracking_misfit_sq(Y, H, grid, target)
+    H *= grid.k[:, None]
+    H -= target[1].T @ target[2]
+    return H, misfit
 
 
 @dataclass
@@ -98,6 +132,51 @@ def discretize_problem(problem, mesh, M_h, K_h):
                            source_terms, yd_terms)
 
 
+def _one_step_size(grid):
+    """Whether all steps of ``grid`` share one step key, so that the
+    module docstring's reduced map holds."""
+    return len({_step_key(k) for k in grid.k}) == 1
+
+
+def _diagonal_suffix_sums(A):
+    """S[..., m, j] = the sum over t >= 0 of A[..., m + t, j + t]."""
+    S = A.copy()
+    for m in range(A.shape[-2] - 2, -1, -1):
+        S[..., m, :-1] += S[..., m + 1, 1:]
+    return S
+
+
+def _reduced_map(cache, grid, dp, MG, source_mom, target):
+    """pairing(mom) -> (w, misfit) of the control whose hat moments are
+    mom, by the module docstring's reduced map for a grid of one step
+    size.  Sets it up by D + 1 state marches; only G, w^f and misfit^f
+    outlive the set-up."""
+    M, n, D = grid.M, dp.M_h.shape[0], len(dp.shapes)
+    unit = np.zeros((1, M, 2))
+    unit[0, 0, 0] = 1.0
+    R = np.empty((D, M, n))
+    for i in range(D):
+        R[i] = march_state(cache, grid, unit, MG[i:i + 1],
+                           np.zeros(n)).values[:M]
+    H, misfit_f = _adjoint_loads(march_state(
+        cache, grid, source_mom, MG[D:], dp.y0).values[:M], dp.M_h, grid,
+        target)
+    wf = np.zeros((D, M + 1))
+    wf[:, :M] = _diagonal_suffix_sums(R @ H.T)[:, 0]
+    # G(m, j) / k is the suffix sum from (m, j) along a diagonal of the
+    # Gram matrix of the reversed responses
+    MR = (dp.M_h @ R.reshape(D * M, n).T).T.reshape(D, M, n)
+    G = np.zeros((D, D, M + 1, M))
+    G[:, :, :M] = grid.k[0] * _diagonal_suffix_sums(
+        MR[:, None, ::-1] @ R[None, :, ::-1].swapaxes(2, 3))
+
+    def pairing(mom):
+        c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0)))
+        w = wf + np.tensordot(G, c, ([1, 3], [0, 1]))
+        return w, misfit_f + float(np.vdot(c, (wf + w)[:, :M]))
+    return pairing
+
+
 def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     """Run the clamp fixed-point iteration on one time grid.
 
@@ -107,6 +186,12 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     the threshold, at the first sweep whose criterion is not finite, or
     when a time sweep produces a non-finite value.
     A negative or non-finite threshold raises ValueError.
+
+    On a grid whose steps all share one step key the sweeps run on the
+    module docstring's reduced map: (D + 3) M step solves and the terminal
+    one, whatever the number of sweeps.  Any other grid marches the state
+    and the adjoint in each of its S sweeps: 2 S M step solves and the
+    terminal one.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "
@@ -120,13 +205,26 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     target = (separable_sq_norm(dp.yd_terms, M_h, grid),
               term_moments(dp.yd_terms, grid).sum(axis=2),
               mass_rows(M_h, [t.spatial for t in dp.yd_terms]))
-    y_k = p_k = w_old = None
+    y_k = p_k = w_old = mom = pairing = None
     crit = np.nan
     history = []
 
+    def march(mom):
+        """March y_k at the control's hat moments ``mom`` and p_k from it;
+        returns the pairing and y_k's misfit."""
+        nonlocal y_k, p_k
+        y_k = march_state(cache, grid, np.concatenate([mom, source_mom]),
+                          MG, dp.y0)
+        H, misfit = _adjoint_loads(y_k.values[:grid.M], M_h, grid, target)
+        p_k = march_adjoint(cache, grid, H)
+        return (p_k.values @ MG[:D].T).T, misfit
+
     def finish(sweep, failure=None):
-        """The report, its state completed here; raises FixedPointError."""
+        """The report, its state completed here, and after reduced sweeps
+        marched first; raises FixedPointError."""
         try:
+            if pairing is not march and mom is not None:
+                march(mom)
             if y_k is not None:
                 terminal_solve(cache, y_k)
         except NonFiniteSweepError as exc:
@@ -138,21 +236,19 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
             raise FixedPointError(failure, rep)
         return rep
 
+    try:
+        pairing = (_reduced_map(cache, grid, dp, MG, source_mom, target)
+                   if _one_step_size(grid) else march)
+    except NonFiniteSweepError as exc:
+        return finish(1, f"{exc} in fixed-point sweep 1")
     for sweep in range(1, max_iters + 1):
         mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
         try:
-            y_k = march_state(cache, grid, np.concatenate([mom, source_mom]),
-                              MG, dp.y0)
-            Y = y_k.values[:grid.M]
-            H = (M_h @ Y.T).T                     # rows M y, then the loads
-            misfit = _tracking_misfit_sq(Y, H, grid, target)
-            H *= grid.k[:, None]
-            H += target[1].T @ -target[2]
-            p_k = march_adjoint(cache, grid, H)
+            w, misfit = pairing(mom)
         except NonFiniteSweepError as exc:
             return finish(sweep, f"{exc} in fixed-point sweep {sweep}")
-        w = (p_k.values @ MG[:D].T).T
-        history.append(0.5 * misfit + 0.5 * dp.alpha * u.squared_l2())
+        history.append(0.5 * max(misfit, 0.0)
+                       + 0.5 * dp.alpha * u.squared_l2())
         crit = np.inf if w_old is None else float(
             np.max(np.abs(w - w_old), initial=0.0))
         u = clamp_control(grid.t, -w / dp.alpha, dp.box)

@@ -12,11 +12,12 @@ from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import (DiscreteProblem, FixedPointError,
                               _tracking_misfit_sq, discretize_problem,
                               fixed_point_solve)
-from parapt.problems import example1, example2
+from parapt.problems import example1, example2, manufactured_smooth
 from parapt.quadrature import gauss_points, split_at
 from parapt.state import (RhsTerm, StepMatrixCache, mass_rows,
                           separable_sq_norm, solve_state, term_moments)
-from parapt.timegrid import PiecewiseConstantField, make_grid, uniform_grid
+from parapt.timegrid import (PiecewiseConstantField, graded_grid, make_grid,
+                             uniform_grid)
 
 
 @pytest.fixture(scope="module")
@@ -238,11 +239,23 @@ def test_non_finite_terminal_value_ends_in_fixed_point_error(coarse_setup,
     assert info.value.report.state is not None
 
 
+def _stops_at_sweep_2(dp, grid):
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FixedPointError, match="non-finite criterion .* at sweep 2") \
+            as info:
+        fixed_point_solve(dp, grid)
+    rep = info.value.report
+    assert rep.iterations == 2 and not rep.converged
+    assert not np.isfinite(rep.final_criterion)
+    assert np.isfinite(rep.state.values).all()
+
+
 def test_infinite_pairing_ends_in_fixed_point_error(coarse_setup,
                                                     monkeypatch):
     """An adjoint of inf in the second sweep makes that sweep's criterion
     non-finite: the solve stops there, names the criterion and carries the
-    partial report."""
+    partial report.  The grid is graded, so each sweep marches the
+    adjoint."""
     prob, _, dp = coarse_setup
     real = parapt.optimizer.march_adjoint
     sweeps = []
@@ -255,11 +268,115 @@ def test_infinite_pairing_ends_in_fixed_point_error(coarse_setup,
         return p
 
     monkeypatch.setattr(parapt.optimizer, "march_adjoint", march)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            FixedPointError, match="non-finite criterion .* at sweep 2") \
-            as info:
-        fixed_point_solve(dp, uniform_grid(prob.T, 5))
-    rep = info.value.report
-    assert rep.iterations == 2 and not rep.converged
-    assert not np.isfinite(rep.final_criterion)
-    assert np.isfinite(rep.state.values).all()
+    _stops_at_sweep_2(dp, graded_grid(prob.T, 5, 2))
+
+
+def test_infinite_reduced_pairing_ends_in_fixed_point_error(coarse_setup,
+                                                            monkeypatch):
+    """The uniform-grid twin of the test above: the reduced map's pairing
+    of the second sweep is inf."""
+    prob, _, dp = coarse_setup
+    real = parapt.optimizer._reduced_map
+
+    def reduced_map(*args):
+        pairing, sweeps = real(*args), []
+
+        def broken(mom):
+            w, misfit = pairing(mom)
+            sweeps.append(w)
+            return (np.full_like(w, np.inf) if len(sweeps) == 2 else w), misfit
+        return broken
+
+    monkeypatch.setattr(parapt.optimizer, "_reduced_map", reduced_map)
+    _stops_at_sweep_2(dp, uniform_grid(prob.T, 5))
+
+
+def _setup(prob, nh):
+    mesh = build_mesh(nh)
+    return prob, mesh, discretize_problem(prob, mesh, mass_matrix(mesh),
+                                          stiffness_matrix(mesh))
+
+
+def _two_controls(nh):
+    """Example 1 with a second control, on sin(2 pi x) sin(pi y) plus a part
+    that overlaps the first shape, in its own box: the reduced map's cross
+    blocks G_i'i, i' != i, then couple the two.  Both components have
+    active and inactive pieces."""
+    prob, mesh, dp = _setup(example1(), nh)
+    g = interpolate(mesh, lambda x, y: (np.sin(2 * np.pi * x)
+                                        + x * np.sin(np.pi * x))
+                    * np.sin(np.pi * y))
+    box = AdmissibleSet(np.array([-25.0, -3.0]), np.array([-1.0, 3.0]))
+    return prob, mesh, dataclasses.replace(dp, shapes=[dp.shapes[0], g],
+                                           box=box)
+
+
+def _marching(monkeypatch):
+    """Make fixed_point_solve march every sweep, as on a graded grid."""
+    monkeypatch.setattr(parapt.optimizer, "_one_step_size", lambda grid: False)
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: _setup(example1(), 9), lambda: _setup(example1(), 17),
+    lambda: _setup(example2(), 9), lambda: _setup(example2(), 17),
+    lambda: _setup(manufactured_smooth(), 9), lambda: _two_controls(9),
+    lambda: _two_controls(17)],
+    ids=["example1-nh9", "example1-nh17", "example2-nh9", "example2-nh17",
+         "manufactured-nh9", "two-controls-nh9", "two-controls-nh17"])
+def test_reduced_map_sweeps_as_the_marches_do(setup, monkeypatch):
+    """On a uniform grid the sweeps by the reduced map and by marches give
+    the same iterations, controls, adjoints and objectives to rounding."""
+    prob, _, dp = setup()
+    grid = uniform_grid(prob.T, 8)
+    reduced = fixed_point_solve(dp, grid, threshold=1e-11)
+    _marching(monkeypatch)
+    marched = fixed_point_solve(dp, grid, threshold=1e-11)
+    assert reduced.iterations == marched.iterations
+    for got, want in [
+            (reduced.control.breaks, marched.control.breaks),
+            (reduced.control.vals, marched.control.vals),
+            ([reduced.adjoint.values], [marched.adjoint.values]),
+            ([reduced.objective_history], [marched.objective_history])]:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(
+                a, b, rtol=0, atol=1e-12 * np.abs(b).max(initial=0.0))
+    assert reduced.final_criterion == pytest.approx(marched.final_criterion,
+                                                    rel=0, abs=1e-12)
+
+
+def test_step_solves_do_not_grow_with_sweeps(monkeypatch):
+    """A uniform grid makes (D + 3) M step solves and the k = 0 one,
+    whatever the number of sweeps; a graded grid 2 M per sweep."""
+    prob, _, dp = _setup(example2(), 9)
+    M = 8
+
+    def solves(grid, threshold):
+        rep = fixed_point_solve(dp, grid, threshold=threshold)
+        steps = [k for kind, k, _ in rep.record if kind != "factor"]
+        assert steps.count(0.0) == 1
+        return rep.iterations, len(steps) - 1
+
+    loose, tight = (solves(uniform_grid(prob.T, M), threshold)
+                    for threshold in (1e-5, 1e-11))
+    assert loose[0] < tight[0]
+    assert loose[1] == tight[1] == (1 + 3) * M
+    for threshold in (1e-5, 1e-11):
+        sweeps, steps = solves(graded_grid(prob.T, M, 2), threshold)
+        assert steps == 2 * sweeps * M
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "marched"])
+def test_non_finite_data_ends_in_the_first_sweep(coarse_setup, monkeypatch,
+                                                 reduced):
+    """A NaN in y0 stops the state march of the first sweep, or of the
+    reduced map's set-up, which counts as that sweep."""
+    prob, _, dp = coarse_setup
+    broken = dataclasses.replace(dp, y0=np.full_like(dp.y0, np.nan))
+    if not reduced:
+        _marching(monkeypatch)
+    with pytest.raises(FixedPointError, match="non-finite value at step 1 "
+                       "of a time sweep in fixed-point sweep 1") as info:
+        fixed_point_solve(broken, uniform_grid(prob.T, 5))
+    assert info.value.report.state is None
+    assert not info.value.report.converged
