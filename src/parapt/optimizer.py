@@ -40,7 +40,7 @@ import numpy as np
 from .adjoint import march_adjoint
 from .control import clamp_control, constant_control, control_to_rhs_terms
 from .fem import interpolate
-from .state import (NonFiniteSweepError, StepMatrixCache, _step_key,
+from .state import (NonFiniteSweepError, StepMatrixCache, _one_step_size,
                     discretize_terms, march_state, mass_rows,
                     separable_sq_norm, term_moments, terminal_solve)
 
@@ -132,18 +132,12 @@ def discretize_problem(problem, mesh, M_h, K_h):
                            source_terms, yd_terms)
 
 
-def _one_step_size(grid):
-    """Whether all steps of ``grid`` share one step key, so that the
-    module docstring's reduced map holds."""
-    return len({_step_key(k) for k in grid.k}) == 1
-
-
 def _diagonal_suffix_sums(A):
-    """S[..., m, j] = the sum over t >= 0 of A[..., m + t, j + t]."""
-    S = A.copy()
+    """A[..., m, j] <- the sum over t >= 0 of A[..., m + t, j + t], in
+    place; returns A."""
     for m in range(A.shape[-2] - 2, -1, -1):
-        S[..., m, :-1] += S[..., m + 1, 1:]
-    return S
+        A[..., m, :-1] += A[..., m + 1, 1:]
+    return A
 
 
 def _reduced_map(cache, grid, dp, MG, source_mom, target):
@@ -166,13 +160,15 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
     # G(m, j) / k is the suffix sum from (m, j) along a diagonal of the
     # Gram matrix of the reversed responses
     MR = (dp.M_h @ R.reshape(D * M, n).T).T.reshape(D, M, n)
-    G = np.zeros((D, D, M + 1, M))
-    G[:, :, :M] = grid.k[0] * _diagonal_suffix_sums(
+    G = _diagonal_suffix_sums(
         MR[:, None, ::-1] @ R[None, :, ::-1].swapaxes(2, 3))
+    del MR, R
+    G *= grid.k[0]
 
     def pairing(mom):
         c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0)))
-        w = wf + np.tensordot(G, c, ([1, 3], [0, 1]))
+        w = wf.copy()                   # G has no row for w(M) = 0
+        w[:, :M] += np.tensordot(G, c, ([1, 3], [0, 1]))
         return w, misfit_f + float(np.vdot(c, (wf + w)[:, :M]))
     return pairing
 
@@ -191,7 +187,8 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     module docstring's reduced map: (D + 3) M step solves and the terminal
     one, whatever the number of sweeps.  Any other grid marches the state
     and the adjoint in each of its S sweeps: 2 S M step solves and the
-    terminal one.
+    terminal one.  Without a control component (D = 0) the first sweep's
+    marches serve the second: 2 M step solves and the terminal one.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "
@@ -238,13 +235,13 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
 
     try:
         pairing = (_reduced_map(cache, grid, dp, MG, source_mom, target)
-                   if _one_step_size(grid) else march)
+                   if D and _one_step_size(grid.k) else march)
     except NonFiniteSweepError as exc:
         return finish(1, f"{exc} in fixed-point sweep 1")
     for sweep in range(1, max_iters + 1):
         mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
         try:
-            w, misfit = pairing(mom)
+            w, misfit = pairing(mom) if D or sweep == 1 else (w, misfit)
         except NonFiniteSweepError as exc:
             return finish(sweep, f"{exc} in fixed-point sweep {sweep}")
         history.append(0.5 * max(misfit, 0.0)

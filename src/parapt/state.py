@@ -103,6 +103,11 @@ def _step_key(k):
     return float(f"{k:.12g}")
 
 
+def _one_step_size(k):
+    """Whether the step sizes k all share one step key."""
+    return len({_step_key(s) for s in k}) == 1
+
+
 _BAND_BELOW_M = 127   # m; see StepMatrixCache
 
 
@@ -131,29 +136,30 @@ def _cg(operator, inverse, b, y, tol):
 class StepMatrixCache:
     """Solves with M + (k/2) K, step size by step size.
 
-    The rule has no knob.  On a grid of m x m interior nodes with m below
-    127 (nh = m + 2 below 129), a step size is factored when a march
-    solves with it at least twice in a row, so a uniform grid builds one
-    factor, at its first step, and serves every step with it.  Every
-    other solve is a PCG solve: every step of a graded grid, whose step
-    sizes all differ, every step from m = 127 on, and the terminal mass
-    solve, the step size k = 0, solved once.  Step sizes are compared
-    after rounding to 12 significant digits, because the differences of a
-    linspace differ in the last bits.
+    The rule has no knob and is made once per march: on a grid of m x m
+    interior nodes with m below 127 (nh = m + 2 below 129), cn_march
+    factors the step size of a march of more than one step, all of one
+    step size, before its first step, so a uniform grid builds one factor
+    for all its steps.  A solve uses the band exactly when its step size's
+    factor is alive, and PCG otherwise: every step of a graded grid, whose
+    step sizes all differ, every step from m = 127 on, and the terminal
+    mass solve, k = 0.  Step sizes are compared after rounding to 12 significant digits,
+    because the differences of a linspace differ in the last bits.
 
     The crossover is measured per step of a warm-started 32-step uniform
     march at k = 0.0031 and 0.016 on one BLAS thread of a 2-core x86-64
-    box, as the range of medians of 15 runs over both k and up to two
-    repeats: a banded solve against a PCG solve with its residual check,
-    and the factor the band needs first:
+    box, as the range of medians of 15 runs over both k and two repeats:
+    a banded solve against a PCG solve with its residual check, and the
+    factor the band needs first:
 
         nh    band          PCG           factor
-        65    274-312 us    460-496 us     4-5 ms
-        97    0.88-0.97 ms  0.94-1.01 ms  10-13 ms
-        113   1.18-1.28 ms  1.19-1.37 ms  16-23 ms
-        129   1.67-1.74 ms  1.50-1.97 ms  21-31 ms
+        65    0.34-0.45 ms  0.46-0.74 ms   4-6 ms
+        97    0.92-1.03 ms  0.95-1.05 ms  10-15 ms
+        113   1.78-1.97 ms  1.24-1.83 ms  16-22 ms
+        129   2.64-3.87 ms  1.73-2.55 ms  25-31 ms
 
-    At nh = 129 the band of (m + 2) n doubles (16.6 MB) no longer pays.
+    From nh = 97 on PCG keeps up with the band; at nh = 129 the band of
+    (m + 2) n doubles (16.6 MB) no longer pays.
 
     PCG runs in the orthonormal DST-I basis S of the m x m grid X of
     interior nodes (S symmetric, S S = I), where M + sK is exact and cheap.
@@ -169,12 +175,8 @@ class StepMatrixCache:
 
         w (6 + 2 c_p + 2 c_q + 2 c_p c_q) + s (lambda_p + lambda_q),
 
-    which, divided out, preconditions CG.  A is a dense m x m skew matrix
-    whose sums of sines are cotangents: A[p, q] is 0 where p + q is even
-    and otherwise
-
-        -sqrt(w/2) sin(q theta) 2/(m+1) (cot((p+q) theta/2)
-                                         + cot((p-q) theta/2)).
+    which, divided out, preconditions CG.  A is a dense m x m skew matrix,
+    0 where p + q is even, and one turn in of Asym builds it.
 
     PCG holds X^ in parity blocks, a (2, 2, o, o) array of the modes of
     parity a by parity b, odd modes p = 1, 3, ... first, the even ones
@@ -190,7 +192,7 @@ class StepMatrixCache:
     The cache keeps M, K, F and its transpose, A[odd, even] and A[even,
     odd], the two padded symbols (about 3.5 m^2 doubles) and its one live
     factor: each study's cache factors at most once (a uniform grid below
-    m = 127 at its first step, any other grid never), so nothing is
+    m = 127 before its first march, any other grid never), so nothing is
     precomputed for a factor.  A factor writes the lower triangle of the
     sparse sum M + (k/2) K into a zero LAPACK lower band and factors it in
     place.  Only one factor is alive at a time, so memory does not grow
@@ -207,7 +209,6 @@ class StepMatrixCache:
         self._M, self._K = M_h, K_h
         m = math.isqrt(self.n)
         o, h = (m + 1) // 2, m // 2
-        theta = np.pi / (m + 1)
         # modes in parity order, odd then even, padded to o by mode 1: the
         # padded symbol entries repeat real ones, so max(symbol), the
         # guard's norm estimate, is taken over the real modes
@@ -225,17 +226,9 @@ class StepMatrixCache:
             j[:, :, None] * q % (2 * m + 2) * np.pi / (m + 1))
         self._F[1, h:], self._F[1, :, h:] = 0.0, 0.0
         self._FT = self._F.transpose(0, 2, 1).copy()
-        # A[odd, even] from cot(i theta/2) at i = p + q and p - q, both odd
-        i = np.arange(1 - m, 2 * m + 1)
-        odd = i % 2 == 1
-        cot = np.zeros(len(i))
-        cot[odd] = 1.0 / np.tan(i[odd] * (0.5 * theta))
-        scale = -math.sqrt(0.5 * w) * 2.0 / (m + 1)
-        p, q = j[0, :, None], j[1, :h]
-        self._A = np.zeros((2, o, o))
-        self._A[0, :, :h] = scale * np.sin(q * theta) * (
-            cot[p + q + (m - 1)] + cot[p - q + (m - 1)])
-        self._A[1] = -self._A[0].T                  # A is skew
+        U = np.eye(m, k=-1)                 # the 1-D shift, U[i, i-1] = 1
+        self._A = math.sqrt(2.0 * w) * self._turn_in(
+            0.5 * (U - U.T))[[0, 1], [1, 0]]     # A[odd, even], A[even, odd]
         self._band = m < _BAND_BELOW_M
         self._key = None
         self._factor = None
@@ -257,17 +250,15 @@ class StepMatrixCache:
             self.record.append(("factor", float(k), None))
         return self._factor
 
-    def solve(self, k, rhs, x0, repeats, xhat0=None):
+    def solve(self, k, rhs, x0, xhat0=None):
         """Solve (M + (k/2) K) x = rhs for step size k; may overwrite rhs.
-        ``repeats`` says whether the next solve has the same step size;
-        unless it does on a grid with m below 127, or k's factor is
-        alive, PCG solves from the guess x0, or from its DST-I
-        coefficients ``xhat0`` when given.  Returns (x, M x, K x, x^), x^
-        being x's DST-I coefficients in parity blocks after a PCG solve and
-        None after a banded one."""
-        if _step_key(k) != self._key and not (repeats and self._band):
+        By the band if k's factor is alive, else by PCG from the guess x0,
+        or from its DST-I coefficients ``xhat0`` when given.  Returns (x,
+        M x, K x, x^), x^ being x's DST-I coefficients in parity blocks
+        after a PCG solve and None after a banded one."""
+        if _step_key(k) != self._key:
             return self._pcg(float(k), rhs, x0, xhat0)
-        x, info = dpbtrs(self.get(k), rhs, lower=1, overwrite_b=1)
+        x, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
         self.record.append(("band", float(k), None))
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
@@ -368,16 +359,16 @@ def cn_march(cache, x, k_explicit, k_implicit, loads, out):
     k_implicit[i], solved by the StepMatrixCache ``cache``.  Each
     right-hand side is formed from the M x and K x the previous solve
     returned, and a PCG solve starts from the previous value or its DST-I
-    coefficients.  Writing into the caller's field avoids a copy of it.
-    Returns (M x, K x) of the last value.  Raises NonFiniteSweepError if
-    any value written is not finite."""
-    keys = [_step_key(k) for k in k_implicit]
+    coefficients; the march picks the band as StepMatrixCache says.
+    Writing into the caller's field avoids a copy of it.  Returns (M x, K
+    x) of the last value.  Raises NonFiniteSweepError if any value written
+    is not finite."""
+    if cache._band and len(loads) > 1 and _one_step_size(k_implicit):
+        cache.get(k_implicit[0])
     Mx, Kx, xhat = cache._M @ x, cache._K @ x, None
     for i, load in enumerate(loads):
         rhs = Mx + (-0.5 * k_explicit[i]) * Kx + load
-        # repeats: the next step, if there is one, has the same key
-        x, Mx, Kx, xhat = cache.solve(k_implicit[i], rhs, x,
-                                      keys[i + 1:i + 2] == keys[i:i + 1], xhat)
+        x, Mx, Kx, xhat = cache.solve(k_implicit[i], rhs, x, xhat)
         out[i] = x
     finite = np.isfinite(out[:len(loads)]).all(axis=1)
     if not finite.all():
@@ -404,7 +395,7 @@ def terminal_solve(cache, y):
     StepMatrixCache ``cache``, from the last interval value; a non-finite
     terminal value (step M+1) raises NonFiniteSweepError."""
     v = y.values
-    v[-1] = cache.solve(0.0, v[-1], v[-2], repeats=False)[0]
+    v[-1] = cache.solve(0.0, v[-1], v[-2])[0]
     if not np.isfinite(v[-1]).all():
         raise NonFiniteSweepError(len(v))
     return y

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,9 +230,9 @@ def test_non_finite_terminal_value_ends_in_fixed_point_error(coarse_setup,
     prob, _, dp = coarse_setup
     real = StepMatrixCache.solve
     monkeypatch.setattr(
-        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, xhat0=None:
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, xhat0=None:
         (np.full_like(rhs, np.nan),) * 3 + (None,) if k == 0
-        else real(self, k, rhs, x0, repeats, xhat0))
+        else real(self, k, rhs, x0, xhat0))
     with pytest.raises(FixedPointError, match="step 6 of a time sweep") \
             as info:
         fixed_point_solve(dp, uniform_grid(prob.T, 5))
@@ -313,7 +314,7 @@ def _two_controls(nh):
 
 def _marching(monkeypatch):
     """Make fixed_point_solve march every sweep, as on a graded grid."""
-    monkeypatch.setattr(parapt.optimizer, "_one_step_size", lambda grid: False)
+    monkeypatch.setattr(parapt.optimizer, "_one_step_size", lambda k: False)
 
 
 @pytest.mark.parametrize("setup", [
@@ -364,6 +365,35 @@ def test_step_solves_do_not_grow_with_sweeps(monkeypatch):
     for threshold in (1e-5, 1e-11):
         sweeps, steps = solves(graded_grid(prob.T, M, 2), threshold)
         assert steps == 2 * sweeps * M
+
+
+def test_no_control_marches_state_and_adjoint_once():
+    """Without a control component nothing depends on the control, so the
+    second sweep reuses the first's pairing: one factor, 2 M banded step
+    solves and the k = 0 one, in two sweeps."""
+    prob, _, dp = _setup(manufactured_smooth(), 9)
+    assert not dp.shapes
+    M = 4
+    rep = fixed_point_solve(dp, uniform_grid(prob.T, M))
+    assert rep.iterations == 2 and rep.converged
+    assert [kind for kind, _, _ in rep.record] == (
+        ["factor"] + ["band"] * (2 * M) + ["pcg"])
+
+
+def test_reduced_map_setup_holds_one_square_array():
+    """The reduced map's set-up sums G's diagonals and scales it in place:
+    a fixed-point solve at nh=9 and M=2048 allocates at most 1.5 M x M
+    arrays of doubles at its peak."""
+    prob, _, dp = _setup(example2(), 9)
+    M = 2048
+    tracemalloc.start()
+    try:
+        rep = fixed_point_solve(dp, uniform_grid(prob.T, M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak <= 1.5 * 8 * M * M
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "marched"])

@@ -134,8 +134,8 @@ def test_graded_sweep_holds_one_factor():
 
 
 def test_uniform_sweeps_build_one_factor():
-    """The first step of a uniform grid repeats in the next one, so it is
-    factored, and that factor serves every step of both sweeps."""
+    """A uniform grid's march factors its one step size, and that factor
+    serves every step of both sweeps."""
     mesh = build_mesh(9)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
     grid = uniform_grid(1.0, 16)
@@ -144,6 +144,34 @@ def test_uniform_sweeps_build_one_factor():
     solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
     solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
     assert len(kinds(cache.record, "factor")) == 1
+
+
+def test_uniform_march_factors_before_its_first_step():
+    """The march, not a solve, picks the band: a uniform grid's factor
+    entry comes first in the record, before its first banded solve, and
+    every step of the march is banded."""
+    mesh = build_mesh(9)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = uniform_grid(1.0, 8)
+    cache = StepMatrixCache(Mh, Kh)
+    solve_state(Mh, Kh, grid, [], np.ones(Mh.shape[0]), cache=cache)
+    assert [kind for kind, _, _ in cache.record] == (
+        ["factor"] + ["band"] * grid.M + ["pcg"])
+    assert cache.record[0][1] == cache.record[1][1] == grid.k[0]
+
+
+def test_run_of_equal_steps_among_distinct_ones_solves_by_pcg():
+    """A march factors only when all its steps share one step size: three
+    equal steps followed by distinct ones build no factor, and every step
+    of both sweeps is a PCG solve."""
+    mesh = build_mesh(9)
+    Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
+    grid = make_grid([0.0, 0.1, 0.2, 0.3, 0.45, 0.65, 1.0])
+    term = RhsTerm(np.ones(Mh.shape[0]), lambda t: np.cos(3.0 * t))
+    cache = StepMatrixCache(Mh, Kh)
+    solve_state(Mh, Kh, grid, [term], np.zeros(Mh.shape[0]), cache=cache)
+    solve_adjoint(Mh, Kh, grid, terms=[term], cache=cache)
+    assert [kind for kind, _, _ in cache.record] == ["pcg"] * (2 * grid.M + 1)
 
 
 def uniform_sweeps(nh):
@@ -204,10 +232,10 @@ def padding(Y, m):
 
 
 @pytest.mark.parametrize("nh", [4, 5, 6, 7, 17])
-def test_closed_form_A_matches_product(nh):
-    """The cache's A, built from cotangents in parity blocks, is sqrt(w/2)
-    S (2 Asym) S to rounding, for odd and even m, and exactly 0 where p + q
-    is even."""
+def test_turned_A_matches_dense_product(nh):
+    """The cache's A, one turn in of Asym kept in its unlike-parity
+    blocks, is sqrt(w/2) S (2 Asym) S to rounding, for odd and even m, and
+    exactly 0 where p + q is even."""
     mesh = build_mesh(nh)
     cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
     m = nh - 2
@@ -252,8 +280,7 @@ def test_pcg_zero_rhs_gives_exact_zeros():
     mesh = build_mesh(17)
     cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
     for k in (0.0, 0.013):
-        returned = cache.solve(k, np.zeros(cache.n), np.ones(cache.n),
-                               repeats=False)
+        returned = cache.solve(k, np.zeros(cache.n), np.ones(cache.n))
         assert all(np.all(v == 0.0) for v in returned), k
         assert cache.record[-1] == ("pcg", k, 0)
 
@@ -280,10 +307,10 @@ def test_graded_march_reuses_products_bit_for_bit(rng):
     xhat = None
     for i, load in enumerate(loads):
         rhs = Mh @ x + (-0.5 * k[i]) * (Kh @ x) + load
-        x, _, _, xhat = fresh.solve(k[i], rhs, x, False, xhat)
+        x, _, _, xhat = fresh.solve(k[i], rhs, x, xhat)
         assert np.array_equal(x, out[i]), i
         rhs = Mh @ y + (-0.5 * k[i]) * (Kh @ y) + load
-        y = turned.solve(k[i], rhs, y, repeats=False)[0]
+        y = turned.solve(k[i], rhs, y)[0]
         assert np.linalg.norm(y - out[i]) <= 1e-12 * np.linalg.norm(y), i
     assert cache.record == fresh.record
     assert {kind for kind, _, _ in cache.record} == {"pcg"}
@@ -301,7 +328,7 @@ def test_pcg_step_solve_matches_band(nh, rng):
     for k in (0.0, 1e-6, 0.013, 1.0 / 6.0, 2.0):
         cache = StepMatrixCache(Mh, Kh)
         rhs, x0 = rng.normal(size=n), rng.normal(size=n)
-        pcg = cache.solve(k, rhs.copy(), x0, repeats=False)[0]
+        pcg = cache.solve(k, rhs.copy(), x0)[0]
         band, info = dpbtrs(cache.get(k), rhs, lower=1)
         assert info == 0, k
         assert [kind for kind, _, _ in cache.record] == ["pcg", "factor"], k
@@ -318,16 +345,18 @@ def test_solve_returns_sparse_products_of_x(nh, rng):
     last bit through the cache's own turn out; the band returns none."""
     mesh = build_mesh(nh)
     Mh, Kh = mass_matrix(mesh), stiffness_matrix(mesh)
-    for k, repeats in ((1e-6, True), (0.013, True), (2.0, True),
-                       (1e-6, False), (0.013, False), (2.0, False),
-                       (0.0, False)):
+    for k, band in ((1e-6, True), (0.013, True), (2.0, True),
+                    (1e-6, False), (0.013, False), (2.0, False),
+                    (0.0, False)):
         cache = StepMatrixCache(Mh, Kh)
         rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
-        x, Mx, Kx, xhat = cache.solve(k, rhs, x0, repeats)
-        assert cache.record[-1][0] == ("band" if repeats else "pcg"), k
-        assert np.array_equal(Mx, Mh @ x), (k, repeats)
-        assert np.array_equal(Kx, Kh @ x), (k, repeats)
-        if repeats:
+        if band:
+            cache.get(k)
+        x, Mx, Kx, xhat = cache.solve(k, rhs, x0)
+        assert cache.record[-1][0] == ("band" if band else "pcg"), k
+        assert np.array_equal(Mx, Mh @ x), (k, band)
+        assert np.array_equal(Kx, Kh @ x), (k, band)
+        if band:
             assert xhat is None
         else:
             assert np.array_equal(cache._turn_out(xhat), x)
@@ -420,8 +449,9 @@ def test_pcg_residual_guard_rejects_other_matrices(mass, rng):
         cache = StepMatrixCache(A, Kh)
         rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
-            cache.solve(k, rhs.copy(), x0, repeats=False)
-        x = cache.solve(k, rhs.copy(), x0, repeats=True)[0]
+            cache.solve(k, rhs.copy(), x0)
+        cache.get(k)
+        x = cache.solve(k, rhs.copy(), x0)[0]
         assert (np.linalg.norm(rhs - (A + 0.5 * k * Kh) @ x)
                 <= 1e-12 * np.linalg.norm(rhs)), k
 
@@ -438,8 +468,7 @@ def test_pcg_residual_guard_rejects_nan_stiffness(k, rng):
     K_nan.data[:] = np.nan
     cache = StepMatrixCache(Mh, K_nan)
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
-        cache.solve(k, rng.normal(size=cache.n), np.zeros(cache.n),
-                    repeats=False)
+        cache.solve(k, rng.normal(size=cache.n), np.zeros(cache.n))
     assert [kind for kind, _, _ in cache.record] == ["pcg"]
 
 
@@ -458,10 +487,10 @@ def test_pcg_residual_guard_scale_is_the_real_symbols(nh, rng):
         cache = StepMatrixCache((1.0 + 1e-9) * Mh, Kh)
         rhs, x0 = rng.normal(size=cache.n), rng.normal(size=cache.n)
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
-            cache.solve(k, rhs, x0, repeats=False)
+            cache.solve(k, rhs, x0)
         cache, xhat = StepMatrixCache(Mh, Kh), None
         for _ in range(2):
-            xhat = cache.solve(k, rng.normal(size=cache.n), x0, False, xhat)[3]
+            xhat = cache.solve(k, rng.normal(size=cache.n), x0, xhat)[3]
             assert np.all(padding(xhat, m) == 0.0), k
 
 
@@ -472,10 +501,11 @@ def test_pcg_on_non_square_grid_raises():
                             sp.identity(5, format="csr"))
     rhs = np.arange(5.0)
     with pytest.raises(np.linalg.LinAlgError, match="n=5"):
-        cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=False)
+        cache.solve(0.5, rhs.copy(), np.zeros(5))
     assert cache.record == []
+    cache.get(0.5)
     np.testing.assert_allclose(
-        cache.solve(0.5, rhs.copy(), np.zeros(5), repeats=True)[0], rhs / 1.25,
+        cache.solve(0.5, rhs.copy(), np.zeros(5))[0], rhs / 1.25,
         rtol=1e-15)
 
 
@@ -486,10 +516,12 @@ def test_bad_step_size_raises_before_solving(k):
     mesh = build_mesh(9)
     cache = StepMatrixCache(mass_matrix(mesh), stiffness_matrix(mesh))
     rhs = np.ones(cache.n)
-    for repeats in (False, True):
+    for band in (False, True):
         with np.errstate(all="raise"), pytest.raises(
                 np.linalg.LinAlgError, match="finite and non-negative"):
-            cache.solve(k, rhs, np.zeros(cache.n), repeats)
+            if band:
+                cache.get(k)
+            cache.solve(k, rhs, np.zeros(cache.n))
     assert cache.record == []
 
 
@@ -559,9 +591,9 @@ def test_non_finite_terminal_value_fails_fast(small_space, monkeypatch):
     _, Mh, Kh, _, _ = small_space
     real = StepMatrixCache.solve
     monkeypatch.setattr(
-        StepMatrixCache, "solve", lambda self, k, rhs, x0, repeats, xhat0=None:
+        StepMatrixCache, "solve", lambda self, k, rhs, x0, xhat0=None:
         (np.full_like(rhs, np.nan),) * 3 + (None,) if k == 0
-        else real(self, k, rhs, x0, repeats, xhat0))
+        else real(self, k, rhs, x0, xhat0))
     grid = uniform_grid(1.0, 4)
     with pytest.raises(NonFiniteSweepError) as info:
         solve_state(Mh, Kh, grid, [], np.ones(Mh.shape[0]))
