@@ -69,26 +69,21 @@ class SolveReport:
     record: list = field(default_factory=list)  # StepMatrixCache.record
 
 
-def _tracking_misfit_sq(Y, MY, grid, target):
-    """Integral over (0,T) of ||y_k(t) - y_d(t)||^2 in L2(Omega) from the
-    interval values Y, their rows M y and ``target``: the target's squared
-    norm, its (terms, M) interval integrals and its (terms, n) rows M g.
-
-    Exact in the piecewise-constant factor, 5-point Gauss in the smooth
-    target factors; not floored at 0, so it may round below.
-    """
-    sq, ints, MG = target
-    return (sq + float(grid.k @ np.einsum("mi,mi->m", Y, MY))
-            - 2.0 * float(np.sum(ints.T * (Y @ MG.T))))
-
-
 def _adjoint_loads(Y, M_h, grid, target):
     """The adjoint's interval loads k M y + h of the interval values Y, h
-    the target's, and Y's _tracking_misfit_sq."""
+    the target's, and the integral over (0,T) of ||y_k(t) - y_d(t)||^2 in
+    L2(Omega).  ``target`` holds the target's squared norm, its (terms, M)
+    interval integrals and its (terms, n) rows M g.
+
+    The misfit is exact in the piecewise-constant factor, 5-point Gauss in
+    the smooth target factors; not floored at 0, so it may round below.
+    """
+    sq, ints, MG = target
     H = (M_h @ Y.T).T                             # rows M y, then the loads
-    misfit = _tracking_misfit_sq(Y, H, grid, target)
+    misfit = (sq + float(grid.k @ np.einsum("mi,mi->m", Y, H))
+              - 2.0 * float(np.sum(ints.T * (Y @ MG.T))))
     H *= grid.k[:, None]
-    H -= target[1].T @ target[2]
+    H -= ints.T @ MG
     return H, misfit
 
 
@@ -133,10 +128,10 @@ def discretize_problem(problem, mesh, M_h, K_h):
 
 
 def _diagonal_suffix_sums(A):
-    """A[..., m, j] <- the sum over t >= 0 of A[..., m + t, j + t], in
-    place; returns A."""
-    for m in range(A.shape[-2] - 2, -1, -1):
-        A[..., m, :-1] += A[..., m + 1, 1:]
+    """A[..., m, :, j] <- the sum over t >= 0 of A[..., m + t, :, j + t],
+    in place; returns A."""
+    for m in range(A.shape[-3] - 2, -1, -1):
+        A[..., m, :, :-1] += A[..., m + 1, :, 1:]
     return A
 
 
@@ -156,19 +151,18 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
         cache, grid, source_mom, MG[D:], dp.y0).values[:M], dp.M_h, grid,
         target)
     wf = np.zeros((D, M + 1))
-    wf[:, :M] = _diagonal_suffix_sums(R @ H.T)[:, 0]
-    # G(m, j) / k is the suffix sum from (m, j) along a diagonal of the
-    # Gram matrix of the reversed responses
-    MR = (dp.M_h @ R.reshape(D * M, n).T).T.reshape(D, M, n)
-    G = _diagonal_suffix_sums(
-        MR[:, None, ::-1] @ R[None, :, ::-1].swapaxes(2, 3))
-    del MR, R
+    wf[:, :M] = _diagonal_suffix_sums((R @ H.T)[:, :, None])[:, 0, 0]
+    # G((i', m), (i, j)) / k is the suffix sum from (m, j) along a diagonal
+    # of the Gram matrix of the reversed responses
+    R = R[:, ::-1].reshape(D * M, n)
+    G = _diagonal_suffix_sums(((dp.M_h @ R.T).T @ R.T).reshape(
+        D, M, D, M)).reshape(D * M, D * M)
     G *= grid.k[0]
 
     def pairing(mom):
         c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0)))
         w = wf.copy()                   # G has no row for w(M) = 0
-        w[:, :M] += np.tensordot(G, c, ([1, 3], [0, 1]))
+        w[:, :M] += (G @ c.ravel()).reshape(D, M)
         return w, misfit_f + float(np.vdot(c, (wf + w)[:, :M]))
     return pairing
 
@@ -181,7 +175,10 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     (with the partial report attached) when max_iters sweeps do not meet
     the threshold, at the first sweep whose criterion is not finite, or
     when a time sweep produces a non-finite value.
-    A negative or non-finite threshold raises ValueError.
+    Before any step solve, ValueError rejects a negative or non-finite
+    threshold, a max_iters that is not an integer of at least 1, and a
+    u_init without D components or whose breakpoints do not run from 0
+    to grid.T.
 
     On a grid whose steps all share one step key the sweeps run on the
     module docstring's reduced map: (D + 3) M step solves and the terminal
@@ -193,67 +190,69 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "
                          f"got {threshold}")
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
+        raise ValueError(f"max_iters must be an integer of at least 1, "
+                         f"got {max_iters!r}")
     M_h, D = dp.M_h, len(dp.shapes)
-    cache = StepMatrixCache(M_h, dp.K_h)
     u = u_init if u_init is not None else constant_control(
         grid, dp.box.lower, dp.box)
+    spans = [[float(b[0]), float(b[-1])] for b in u.breaks]
+    if spans != [[0.0, grid.T]] * D:
+        raise ValueError(f"u_init must have {D} components with breakpoints "
+                         f"from 0 to T = {grid.T}, got {spans}")
+    cache = StepMatrixCache(M_h, dp.K_h)
     MG = mass_rows(M_h, [*dp.shapes, *(t.spatial for t in dp.source_terms)])
     source_mom = term_moments(dp.source_terms, grid)
     target = (separable_sq_norm(dp.yd_terms, M_h, grid),
               term_moments(dp.yd_terms, grid).sum(axis=2),
               mass_rows(M_h, [t.spatial for t in dp.yd_terms]))
-    y_k = p_k = w_old = mom = pairing = None
-    crit = np.nan
-    history = []
+    fields = [None, None]   # y_k and p_k, as the last march left them
 
     def march(mom):
-        """March y_k at the control's hat moments ``mom`` and p_k from it;
-        returns the pairing and y_k's misfit."""
-        nonlocal y_k, p_k
-        y_k = march_state(cache, grid, np.concatenate([mom, source_mom]),
-                          MG, dp.y0)
-        H, misfit = _adjoint_loads(y_k.values[:grid.M], M_h, grid, target)
-        p_k = march_adjoint(cache, grid, H)
-        return (p_k.values @ MG[:D].T).T, misfit
+        """March y_k at the control's hat moments ``mom`` and p_k from it
+        into ``fields``; returns the pairing and y_k's misfit."""
+        fields[0] = march_state(cache, grid, np.concatenate([mom, source_mom]),
+                                MG, dp.y0)
+        H, misfit = _adjoint_loads(fields[0].values[:grid.M], M_h, grid,
+                                   target)
+        fields[1] = march_adjoint(cache, grid, H)
+        return (fields[1].values @ MG[:D].T).T, misfit
 
-    def finish(sweep, failure=None):
-        """The report, its state completed here, and after reduced sweeps
-        marched first; raises FixedPointError."""
-        try:
-            if pairing is not march and mom is not None:
-                march(mom)
-            if y_k is not None:
-                terminal_solve(cache, y_k)
-        except NonFiniteSweepError as exc:
-            failure = failure or f"{exc} after fixed-point sweep {sweep}"
-        rep = SolveReport(u, y_k, p_k, sweep, crit, failure is None,
-                          history[-1] if history else np.nan, history,
-                          cache.record)
-        if failure:
-            raise FixedPointError(failure, rep)
-        return rep
-
+    reduced = bool(D) and _one_step_size(grid.k)
+    sweep, crit, history = 1, np.nan, []
+    w_old = mom = failure = None
     try:
         pairing = (_reduced_map(cache, grid, dp, MG, source_mom, target)
-                   if D and _one_step_size(grid.k) else march)
-    except NonFiniteSweepError as exc:
-        return finish(1, f"{exc} in fixed-point sweep 1")
-    for sweep in range(1, max_iters + 1):
-        mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
-        try:
+                   if reduced else march)
+        for sweep in range(1, max_iters + 1):
+            mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
             w, misfit = pairing(mom) if D or sweep == 1 else (w, misfit)
-        except NonFiniteSweepError as exc:
-            return finish(sweep, f"{exc} in fixed-point sweep {sweep}")
-        history.append(0.5 * max(misfit, 0.0)
-                       + 0.5 * dp.alpha * u.squared_l2())
-        crit = np.inf if w_old is None else float(
-            np.max(np.abs(w - w_old), initial=0.0))
-        u = clamp_control(grid.t, -w / dp.alpha, dp.box)
-        if crit <= threshold:
-            return finish(sweep)
-        if w_old is not None and not np.isfinite(crit):
-            return finish(sweep,
-                          f"non-finite criterion {crit} at sweep {sweep}")
-        w_old = w
-    return finish(max_iters, f"no convergence in {max_iters} sweeps "
-                  f"(last criterion {crit:.3e}, threshold {threshold:.1e})")
+            history.append(0.5 * max(misfit, 0.0)
+                           + 0.5 * dp.alpha * u.squared_l2())
+            crit = np.inf if w_old is None else float(
+                np.max(np.abs(w - w_old), initial=0.0))
+            u = clamp_control(grid.t, -w / dp.alpha, dp.box)
+            if crit <= threshold:
+                break
+            if w_old is not None and not np.isfinite(crit):
+                failure = f"non-finite criterion {crit} at sweep {sweep}"
+                break
+            w_old = w
+        else:
+            failure = (f"no convergence in {max_iters} sweeps (last criterion "
+                       f"{crit:.3e}, threshold {threshold:.1e})")
+    except NonFiniteSweepError as exc:
+        failure = f"{exc} in fixed-point sweep {sweep}"
+    try:                    # the reported fields, at the last sweep's control
+        if reduced and mom is not None:
+            march(mom)
+        if fields[0] is not None:
+            terminal_solve(cache, fields[0])
+    except NonFiniteSweepError as exc:
+        failure = failure or f"{exc} after fixed-point sweep {sweep}"
+    rep = SolveReport(u, *fields, sweep, crit, failure is None,
+                      history[-1] if history else np.nan, history,
+                      cache.record)
+    if failure:
+        raise FixedPointError(failure, rep)
+    return rep

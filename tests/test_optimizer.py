@@ -11,12 +11,13 @@ from parapt.control import (AdmissibleSet, clamp_control, constant_control,
                             control_to_rhs_terms)
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import (DiscreteProblem, FixedPointError,
-                              _tracking_misfit_sq, discretize_problem,
+                              _adjoint_loads, discretize_problem,
                               fixed_point_solve)
 from parapt.problems import example1, example2, manufactured_smooth
 from parapt.quadrature import gauss_points, split_at
-from parapt.state import (RhsTerm, StepMatrixCache, mass_rows,
-                          separable_sq_norm, solve_state, term_moments)
+from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
+                          mass_rows, separable_sq_norm, solve_state,
+                          term_moments)
 from parapt.timegrid import (PiecewiseConstantField, graded_grid, make_grid,
                              uniform_grid)
 
@@ -106,7 +107,7 @@ def test_tracking_misfit_against_pointwise_quadrature(coarse_setup, rng):
     target = (separable_sq_norm(yd, dp.M_h, grid),
               term_moments(yd, grid).sum(axis=2),
               mass_rows(dp.M_h, [term.spatial for term in yd]))
-    got = _tracking_misfit_sq(Y, (dp.M_h @ Y.T).T, grid, target)
+    got = _adjoint_loads(Y, dp.M_h, grid, target)[1]
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -410,3 +411,157 @@ def test_non_finite_data_ends_in_the_first_sweep(coarse_setup, monkeypatch,
         fixed_point_solve(broken, uniform_grid(prob.T, 5))
     assert info.value.report.state is None
     assert not info.value.report.converged
+
+
+def _fails_with(info, message, iterations, finite, fields):
+    """The FixedPointError's message, and its report's sweep count, failed
+    status, criterion finiteness and whether state and adjoint are set."""
+    rep = info.value.report
+    assert str(info.value) == message
+    assert rep.iterations == iterations and rep.converged is False
+    assert bool(np.isfinite(rep.final_criterion)) is finite
+    assert (rep.state is not None, rep.adjoint is not None) == (fields,) * 2
+
+
+def test_sweep_budget_exit_on_the_reduced_path(coarse_setup):
+    prob, _, dp = coarse_setup
+    with pytest.raises(FixedPointError) as info:
+        fixed_point_solve(dp, uniform_grid(prob.T, 5), max_iters=2)
+    crit = info.value.report.final_criterion
+    _fails_with(info, f"no convergence in 2 sweeps (last criterion "
+                f"{crit:.3e}, threshold 1.0e-05)", 2, True, True)
+
+
+def test_adjoint_failure_in_a_later_marched_sweep(coarse_setup,
+                                                   monkeypatch):
+    """The adjoint march of the second sweep on a graded grid fails: the
+    report keeps that sweep's state and the first sweep's adjoint."""
+    prob, _, dp = coarse_setup
+    real, calls = parapt.optimizer.march_adjoint, []
+
+    def march(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NonFiniteSweepError(3)
+        return real(*args)
+
+    monkeypatch.setattr(parapt.optimizer, "march_adjoint", march)
+    with pytest.raises(FixedPointError) as info:
+        fixed_point_solve(dp, graded_grid(prob.T, 5, 2))
+    _fails_with(info, "non-finite value at step 3 of a time sweep in "
+                "fixed-point sweep 2", 2, False, True)
+
+
+@pytest.mark.parametrize("stage", ["final-march", "terminal-solve"])
+def test_failure_after_the_last_sweep(coarse_setup, monkeypatch, stage):
+    """After converged reduced sweeps, the final state march (the third
+    march of a one-control solve) or the terminal solve fails: the error
+    names the last sweep, and the report has fields only if the final
+    march went through."""
+    prob, _, dp = coarse_setup
+    grid = uniform_grid(prob.T, 5)
+    sweeps = fixed_point_solve(dp, grid).iterations
+    real, calls = parapt.optimizer.march_state, []
+
+    def march(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NonFiniteSweepError(4)
+        return real(*args)
+
+    def terminal(cache, y):
+        raise NonFiniteSweepError(6)
+
+    if stage == "final-march":
+        monkeypatch.setattr(parapt.optimizer, "march_state", march)
+    else:
+        monkeypatch.setattr(parapt.optimizer, "terminal_solve", terminal)
+    with pytest.raises(FixedPointError) as info:
+        fixed_point_solve(dp, grid)
+    step = 4 if stage == "final-march" else 6
+    _fails_with(info, f"non-finite value at step {step} of a time sweep "
+                f"after fixed-point sweep {sweeps}", sweeps, True,
+                stage == "terminal-solve")
+
+
+@pytest.mark.parametrize("max_iters", [0, -3, 2.5, "4", None])
+def test_rejects_bad_sweep_budget(monkeypatch, max_iters):
+    """A budget that is not an integer of at least 1 is rejected before any
+    step solve."""
+    prob, _, dp = _setup(example2(), 9)
+    monkeypatch.setattr(StepMatrixCache, "solve", None)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        fixed_point_solve(dp, uniform_grid(prob.T, 8), max_iters=max_iters)
+
+
+@pytest.mark.parametrize("u_init, message", [
+    (lambda grid, box: constant_control(grid, [-1.0, -1.0], box),
+     r"got \[\[0.0, 0.1\], \[0.0, 0.1\]\]"),
+    (lambda grid, box: constant_control(grid, np.zeros(0), box),
+     r"got \[\]$"),
+    (lambda grid, box: constant_control(uniform_grid(2 * grid.T, 8),
+                                        [-1.0], box), r"got \[\[0.0, 0.2\]\]"),
+    (lambda grid, box: clamp_control(grid.t[1:], np.zeros((1, grid.M)),
+                                     box), r"got \[\[0.0125, 0.1\]\]"),
+], ids=["two-components", "no-component", "past-T", "after-0"])
+def test_rejects_bad_initial_control(coarse_setup, monkeypatch, u_init,
+                                     message):
+    """An initial control with other than D components, or whose
+    breakpoints do not run from 0 to T, is rejected before any step
+    solve."""
+    prob, _, dp = coarse_setup
+    grid = uniform_grid(prob.T, 8)
+    wide = AdmissibleSet(np.full(2, -np.inf), np.full(2, np.inf))
+    u = u_init(grid, wide)
+    monkeypatch.setattr(StepMatrixCache, "solve", None)
+    with pytest.raises(ValueError, match=message):
+        fixed_point_solve(dp, grid, u_init=u)
+
+
+def _reduced_pairing(dp, grid, monkeypatch):
+    """The pairing of the reduced map that a solve on ``grid`` builds."""
+    real, pairings = parapt.optimizer._reduced_map, []
+
+    def reduced_map(*args):
+        pairings.append(real(*args))
+        return pairings[-1]
+
+    monkeypatch.setattr(parapt.optimizer, "_reduced_map", reduced_map)
+    fixed_point_solve(dp, grid)
+    return pairings[0]
+
+
+def test_reduced_sweep_holds_no_copy_of_G(monkeypatch):
+    """With two controls one sweep's pairing allocates at most 0.05 of G's
+    8 (2 M)^2 bytes at its peak: the product reads G in place."""
+    prob, _, dp = _two_controls(9)
+    M = 512
+    grid = uniform_grid(prob.T, M)
+    pairing = _reduced_pairing(dp, grid, monkeypatch)
+    mom = np.ones((2, M, 2))
+    tracemalloc.start()
+    try:
+        pairing(mom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * 8 * (2 * M) ** 2
+
+
+def test_reduced_map_G_is_symmetric(monkeypatch):
+    """G_i'i(m, j) = G_ii'(j, m), as M is symmetric: the pairing's response
+    to each unit hat moment, less its value at zero moments, is G's
+    column."""
+    prob, _, dp = _two_controls(9)
+    D, M = 2, 16
+    pairing = _reduced_pairing(dp, uniform_grid(prob.T, M), monkeypatch)
+    zero = pairing(np.zeros((D, M, 2)))[0]
+    G = np.empty((D, M, D, M))
+    for i in range(D):
+        for j in range(M):
+            mom = np.zeros((D, M, 2))
+            mom[i, j, 0] = 1.0
+            G[..., i, j] = (pairing(mom)[0] - zero)[:, :M]
+    G = G.reshape(D * M, D * M)
+    assert np.abs(G).max() > 0
+    np.testing.assert_allclose(G, G.T, rtol=0, atol=1e-12 * np.abs(G).max())
