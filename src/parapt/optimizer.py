@@ -9,10 +9,10 @@ over grid nodes and components.  Because the stopping test compares
 consecutive pairings, the count never drops below two sweeps.
 
 A grid whose steps differ marches the state and the adjoint in every
-sweep.  On a grid whose steps all share one step key, as every uniform
-grid's do, each step has T = M + (k/2) K and E = M - (k/2) K, and the
-control enters the state only through the weights c_ij = mom[i, j, 0] +
-mom[i, j-1, 1] of its loads c_ij M g_i at the steps j = 0..M-1.  So the
+sweep.  On a grid of one step size by state._one_step_size, as every
+uniform grid is, each step has T = M + (k/2) K and E = M - (k/2) K, and
+the control enters the state only through the weights c_ij = mom[i, j, 0]
++ mom[i, j-1, 1] of its loads c_ij M g_i at the steps j = 0..M-1.  So the
 interval values are
 
     a_m = a^f_m + sum_i sum_{j<=m} c_ij R_i[m-j],
@@ -171,21 +171,21 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     """Run the clamp fixed-point iteration on one time grid.
 
     ``dp`` is a DiscreteProblem.  The initial control defaults to the
-    constant lower bound.  Returns a SolveReport; raises FixedPointError
-    (with the partial report attached) when max_iters sweeps do not meet
-    the threshold, at the first sweep whose criterion is not finite, or
-    when a time sweep produces a non-finite value.
-    Before any step solve, ValueError rejects a negative or non-finite
-    threshold, a max_iters that is not an integer of at least 1, and a
-    u_init without D components or whose breakpoints do not run from 0
-    to grid.T.
+    constant lower bound, or the upper one where the lower is infinite, or
+    0 where both are.  Returns a SolveReport; raises FixedPointError (with
+    the partial report attached) when max_iters sweeps do not meet the
+    threshold, at the first sweep whose criterion is not finite, or when a
+    time sweep produces a non-finite value.  Before any step solve,
+    ValueError rejects a negative or non-finite threshold, a max_iters that
+    is not an integer of at least 1, and a u_init without D components or
+    whose breakpoints do not run from 0 to grid.T.
 
-    On a grid whose steps all share one step key the sweeps run on the
-    module docstring's reduced map: (D + 3) M step solves and the terminal
-    one, whatever the number of sweeps.  Any other grid marches the state
-    and the adjoint in each of its S sweeps: 2 S M step solves and the
-    terminal one.  Without a control component (D = 0) the first sweep's
-    marches serve the second: 2 M step solves and the terminal one.
+    On a grid of one step size the sweeps run on the module docstring's
+    reduced map: (D + 3) M step solves and the terminal one, whatever the
+    number of sweeps.  Any other grid marches the state and the adjoint
+    in each of its S sweeps: 2 S M step solves and the terminal one.
+    Without a control component (D = 0) the first sweep's marches serve
+    the second: 2 M step solves and the terminal one.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "
@@ -193,9 +193,9 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer of at least 1, "
                          f"got {max_iters!r}")
-    M_h, D = dp.M_h, len(dp.shapes)
+    M_h, D, bounds = dp.M_h, len(dp.shapes), [dp.box.lower, dp.box.upper]
     u = u_init if u_init is not None else constant_control(
-        grid, dp.box.lower, dp.box)
+        grid, np.select(np.isfinite(bounds), bounds), dp.box)
     spans = [[float(b[0]), float(b[-1])] for b in u.breaks]
     if spans != [[0.0, grid.T]] * D:
         raise ValueError(f"u_init must have {D} components with breakpoints "

@@ -93,19 +93,17 @@ def mass_rows(M_h, vectors):
                       (len(vectors), M_h.shape[0]))
 
 
-def _step_key(k):
-    """k rounded to 12 significant digits; a negative or non-finite k
-    raises LinAlgError."""
-    k = float(k)
-    if not 0.0 <= k < np.inf:
-        raise np.linalg.LinAlgError(
-            f"step size must be finite and non-negative, got {k}")
-    return float(f"{k:.12g}")
+def _same_step(a, b):
+    """Whether step sizes a and b lie within 1e-10 relative of each other (NaN
+    with none).  A linspace's M steps over (0, T) differ by at most 1.7 eps T
+    (eight T in [0.1, 10], M <= 16384): every uniform grid up to M = 2.7e5 is
+    one step size, no graded_grid of exponent 1.5 or 2, M < 2000, is."""
+    return math.isclose(a, b, rel_tol=1e-10)
 
 
 def _one_step_size(k):
-    """Whether the step sizes k all share one step key."""
-    return len({_step_key(s) for s in k}) == 1
+    """Whether the step sizes k are all one step size by _same_step."""
+    return _same_step(np.min(k), np.max(k))
 
 
 _BAND_BELOW_M = 127   # m; see StepMatrixCache
@@ -140,11 +138,9 @@ class StepMatrixCache:
     interior nodes with m below 127 (nh = m + 2 below 129), cn_march
     factors the step size of a march of more than one step, all of one
     step size, before its first step, so a uniform grid builds one factor
-    for all its steps.  A solve uses the band exactly when its step size's
-    factor is alive, and PCG otherwise: every step of a graded grid, whose
-    step sizes all differ, every step from m = 127 on, and the terminal
-    mass solve, k = 0.  Step sizes are compared after rounding to 12 significant digits,
-    because the differences of a linspace differ in the last bits.
+    for all its steps.  A solve takes the band exactly when its step size
+    is the live factor's by _same_step, and PCG otherwise: every step of a
+    graded grid, every step from m = 127 on, and the terminal k = 0 solve.
 
     The crossover is measured per step of a warm-started 32-step uniform
     march at k = 0.0031 and 0.016 on one BLAS thread of a 2-core x86-64
@@ -190,13 +186,11 @@ class StepMatrixCache:
     blocks, half the dense product's work.
 
     The cache keeps M, K, F and its transpose, A[odd, even] and A[even,
-    odd], the two padded symbols (about 3.5 m^2 doubles) and its one live
-    factor: each study's cache factors at most once (a uniform grid below
-    m = 127 before its first march, any other grid never), so nothing is
-    precomputed for a factor.  A factor writes the lower triangle of the
-    sparse sum M + (k/2) K into a zero LAPACK lower band and factors it in
-    place.  Only one factor is alive at a time, so memory does not grow
-    with the number of intervals.
+    odd], the two padded symbols (about 3.5 m^2 doubles) and one live
+    factor, whatever the number of intervals; it factors at most once per
+    study (a uniform grid below m = 127 before its first march, any other
+    grid never).  A factor writes the lower triangle of M + (k/2) K into a
+    zero LAPACK lower band and factors it in place.
 
     ``record`` lists, in order, ("factor", k, None) per factor built,
     ("band", k, None) per banded solve and ("pcg", k, n) per PCG solve of n
@@ -230,14 +224,13 @@ class StepMatrixCache:
         self._A = math.sqrt(2.0 * w) * self._turn_in(
             0.5 * (U - U.T))[[0, 1], [1, 0]]     # A[odd, even], A[even, odd]
         self._band = m < _BAND_BELOW_M
-        self._key = None
+        self._k = math.nan      # the live factor's step size, NaN for none
         self._factor = None
         self.record = []
 
     def get(self, k):
-        """Lower banded Cholesky factor of M + (k/2) K."""
-        key = _step_key(k)
-        if key != self._key:
+        """Lower Cholesky band of M + (k/2) K; the live one if k agrees."""
+        if not self._live(k):
             self._factor = None          # release the old factor first
             low = sp.tril(self._M + 0.5 * float(k) * self._K).tocoo()
             offset = low.row - low.col
@@ -246,7 +239,7 @@ class StepMatrixCache:
             band[offset, low.col] = low.data
             self._factor = cholesky_banded(band, overwrite_ab=True,
                                            lower=True, check_finite=False)
-            self._key = key
+            self._k = float(k)
             self.record.append(("factor", float(k), None))
         return self._factor
 
@@ -256,13 +249,20 @@ class StepMatrixCache:
         or from its DST-I coefficients ``xhat0`` when given.  Returns (x,
         M x, K x, x^), x^ being x's DST-I coefficients in parity blocks
         after a PCG solve and None after a banded one."""
-        if _step_key(k) != self._key:
+        if not self._live(k):
             return self._pcg(float(k), rhs, x0, xhat0)
         x, info = dpbtrs(self._factor, rhs, lower=1, overwrite_b=1)
         self.record.append(("band", float(k), None))
         if info:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x, self._M @ x, self._K @ x, None
+
+    def _live(self, k):
+        """Whether step size k agrees with the live factor's."""
+        if not 0.0 <= k < np.inf:
+            raise np.linalg.LinAlgError(
+                f"step size must be finite and non-negative, got {k}")
+        return _same_step(k, self._k)
 
     def _turn_in(self, X):
         """The (m, m) grid X's DST-I coefficients S X S in parity blocks:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -366,6 +367,43 @@ def test_step_solves_do_not_grow_with_sweeps(monkeypatch):
     for threshold in (1e-5, 1e-11):
         sweeps, steps = solves(graded_grid(prob.T, M, 2), threshold)
         assert steps == 2 * sweeps * M
+
+
+@pytest.mark.parametrize("prob, M, make", [
+    (example1, 198, uniform_grid),
+    (example2, 239, uniform_grid),
+    (example2, 239, lambda T, M: make_grid(np.linspace(0.0, T, M + 1))),
+    (example2, 239, lambda T, M: graded_grid(T, M, 1.0))],
+    ids=["example1-M198", "example2-M239", "example2-M239-linspace",
+         "example2-M239-graded-gamma-1"])
+def test_uniform_grids_take_the_reduced_map_with_one_factor(prob, M, make):
+    """A uniform grid whose steps differ in the last bits, however it is
+    made, takes the reduced map on one factor: 4 M banded step solves for
+    D = 1 and the k = 0 one by PCG."""
+    prob, _, dp = _setup(prob(), 9)
+    rep = fixed_point_solve(dp, make(prob.T, M))
+    assert Counter((kind, k == 0.0) for kind, k, _ in rep.record) == {
+        ("factor", False): 1, ("band", False): 4 * M, ("pcg", True): 1}
+
+
+@pytest.mark.parametrize("prob, lower, upper, start, sweeps", [
+    (example2, -np.inf, 0.4, 0.4, 3), (example2, -np.inf, np.inf, 0.0, 3),
+    (example1, -np.inf, -1.0, -1.0, 4)],
+    ids=["example2-upper", "example2-unbounded", "example1-upper"])
+def test_default_start_is_finite(prob, lower, upper, start, sweeps):
+    """Where the lower bound is -inf the default start is the upper bound,
+    or 0 where that is infinite too, and the solve is the one started
+    there, with no clamp of an infinite value."""
+    prob, _, dp = _setup(prob(), 9)
+    dp = dataclasses.replace(dp, box=AdmissibleSet(np.array([lower]),
+                                                   np.array([upper])))
+    grid = uniform_grid(prob.T, 8)
+    rep = fixed_point_solve(dp, grid)
+    started = fixed_point_solve(dp, grid, u_init=constant_control(
+        grid, np.array([start]), dp.box))
+    assert rep.converged and rep.iterations == started.iterations == sweeps
+    np.testing.assert_array_equal(rep.control.vals[0],
+                                  started.control.vals[0])
 
 
 def test_no_control_marches_state_and_adjoint_once():

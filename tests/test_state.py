@@ -12,8 +12,8 @@ from parapt.adjoint import solve_adjoint
 from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.problems import manufactured_smooth
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
-                          cn_march, discretize_terms, hat_moments,
-                          solve_state)
+                          _one_step_size, cn_march, discretize_terms,
+                          hat_moments, solve_state)
 from parapt.timegrid import graded_grid, make_grid, uniform_grid
 
 
@@ -117,6 +117,16 @@ def test_ulp_distinct_steps_share_one_factor(small_space):
     first = cache.get(ks[0])
     assert all(cache.get(k) is first for k in ks)
     assert len(kinds(cache.record, "factor")) == 1
+
+
+@pytest.mark.parametrize("T", [0.1, 0.5, 1.0])
+def test_uniform_grids_have_one_step_size_and_graded_ones_do_not(T):
+    """The linspace differences of every uniform grid up to M = 8192 are
+    one step size, also where rounding to 12 digits splits them, as at
+    T = 0.1, M = 198; no grid graded by t^2 is."""
+    assert all(_one_step_size(uniform_grid(T, M).k) for M in range(1, 8193))
+    assert not any(_one_step_size(graded_grid(T, M, 2).k)
+                   for M in range(2, 2000))
 
 
 def test_graded_sweep_holds_one_factor():
