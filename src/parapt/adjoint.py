@@ -23,7 +23,7 @@ def march_adjoint(cache, grid, H):
     betas = np.zeros((grid.M + 1, H.shape[1]))
     k = grid.k[::-1]
     cn_march(cache, betas[-1], k, k, H[::-1], betas[-2::-1])
-    return PiecewiseLinearField(grid.t.copy(), betas)
+    return PiecewiseLinearField(grid, betas)
 
 
 def solve_adjoint(M_h, K_h, grid, terms=(), cache=None):

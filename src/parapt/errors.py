@@ -41,19 +41,18 @@ def field_error_norms(exact_terms, approx, mesh, M_h):
     their M-products C's Gauss rows times [M g_i; M v_j], each M v_j made
     once.  Chunks hold at most ``CHUNK_ENTRIES`` sampled values, C as many.
     """
-    pc = isinstance(approx, PiecewiseConstantField)
-    edges = approx.grid.t if pc else approx.times
-    t0 = edges[:-1]
-    pts, wts = gauss_points(t0, edges[1:])
-    samples = np.vstack([pts.T, t0, edges[1:]])          # (7, intervals)
-    right = np.zeros_like(samples) if pc else (samples - t0) / np.diff(edges)
+    pc, grid = isinstance(approx, PiecewiseConstantField), approx.grid
+    t0, t1 = grid.t[:-1], grid.t[1:]
+    pts, wts = gauss_points(t0, t1)
+    samples = np.vstack([pts.T, t0, t1])                 # (7, intervals)
+    right = np.zeros_like(samples) if pc else (samples - t0) / grid.k
     n, nt, S = M_h.shape[0], len(exact_terms), len(samples)
     theta = np.moveaxis(np.reshape([th(samples.ravel()) for th, _ in
                                     exact_terms], (nt,) + samples.shape), 0, 2)
     per_chunk = max(1, min(CHUNK_ENTRIES // (S * n),
                            isqrt(CHUNK_ENTRIES // S) - nt - 1))
     G = np.reshape([g for _, g in exact_terms], (nt, n))
-    last = len(edges) - 1 - pc       # a PC field's terminal value is unused
+    last = grid.M - pc               # a PC field's terminal value is unused
     MG, Mv = G @ M_h, M_h @ approx.values[0]
     l1 = l2sq = linf = 0.0
     for lo in range(0, samples.shape[1], per_chunk):

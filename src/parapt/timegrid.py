@@ -18,8 +18,6 @@ class TimeGrid:
     T: float
     t: np.ndarray            # nodes, length M+1
     k: np.ndarray            # interval lengths, length M
-    midpoints: np.ndarray    # interval midpoints t*_m, length M
-    dual_nodes: np.ndarray   # 0, t*_1 .. t*_M, T  (length M+2)
     k_max: float
 
     @property
@@ -43,9 +41,7 @@ def make_grid(t):
         raise ValueError("time nodes must start at 0, increase strictly "
                          "and be finite")
     k = np.diff(t)
-    mid = 0.5 * (t[:-1] + t[1:])
-    dual = np.concatenate([[0.0], mid, [t[-1]]])
-    return TimeGrid(float(t[-1]), t, k, mid, dual, float(k.max()))
+    return TimeGrid(float(t[-1]), t, k, float(k.max()))
 
 
 def uniform_grid(T, M):
@@ -84,20 +80,19 @@ class PiecewiseConstantField:
 
 @dataclass
 class PiecewiseLinearField:
-    """Continuous piecewise-linear field over an arbitrary node vector.
+    """Continuous piecewise-linear field: values[m] is the value at t_m.
 
-    Used both for the test-space fields on the primal nodes and for the
-    post-processed interpolants on the dual nodes.
+    Used both for the test-space fields on the primal grid and for the
+    post-processed interpolants on the dual grid.  Extends linearly past
+    either end of the grid.
     """
-    times: np.ndarray
+    grid: TimeGrid
     values: np.ndarray
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                      0, len(self.times) - 2)
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        w = (t - t0) / (t1 - t0)
+        idx = self.grid.interval_index(t)
+        w = (t - self.grid.t[idx]) / self.grid.k[idx]
         if self.values.ndim > 1:
             w = w[..., None]
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
@@ -108,14 +103,17 @@ def dual_linear_projection(w, grid):
 
     Interpolates the interval values at the midpoints t*_1..t*_M and
     extends linearly to t = 0 (through the first two midpoint values) and
-    to t = T (through the last two).  Needs M >= 2.
+    to t = T (through the last two).  Needs M >= 2 and ``grid`` to have
+    w's nodes.
     """
+    t = w.grid.t
+    if not np.array_equal(grid.t, t):
+        raise ValueError("grid does not have the field's time nodes")
     if grid.M < 2:
         raise ValueError("dual interpolation needs at least two intervals")
-    mids = w.values[:-1]
-    ts = grid.midpoints
+    mids, ts = w.values[:-1], 0.5 * (t[:-1] + t[1:])
     left = mids[0] + (0.0 - ts[0]) / (ts[1] - ts[0]) * (mids[1] - mids[0])
-    right = (mids[-2] + (grid.T - ts[-2]) / (ts[-1] - ts[-2])
+    right = (mids[-2] + (t[-1] - ts[-2]) / (ts[-1] - ts[-2])
              * (mids[-1] - mids[-2]))
-    vals = np.concatenate([[left], mids, [right]])
-    return PiecewiseLinearField(grid.dual_nodes, vals)
+    dual = make_grid(np.concatenate([[0.0], ts, [t[-1]]]))
+    return PiecewiseLinearField(dual, np.concatenate([[left], mids, [right]]))

@@ -106,10 +106,7 @@ def l2l2_distance(a, b, M_h, chunk=256):
     points per piece integrate it exactly; space uses the mass matrix.
     Gauss points are processed in chunks to bound memory on fine grids.
     """
-    def nodes(f):
-        return f.grid.t if isinstance(f, PiecewiseConstantField) else f.times
-
-    edges = split_at(nodes(a), nodes(b))
+    edges = split_at(a.grid.t, b.grid.t)
     pts, wts = (x.ravel() for x in gauss_points(edges[:-1], edges[1:], rule=2))
     total = 0.0
     for s in range(0, len(pts), chunk):

@@ -380,7 +380,7 @@ def test_criterion_9_property_sweep(rng):
     lin = np.zeros((grid.M + 1, 1))
     lin[:-1, 0] = 0.3 - 1.7 * mids
     proj = dual_linear_projection(PiecewiseConstantField(grid, lin), grid)
-    if not np.allclose(proj.values[:, 0], 0.3 - 1.7 * proj.times, atol=1e-12):
+    if not np.allclose(proj.values[:, 0], 0.3 - 1.7 * proj.grid.t, atol=1e-12):
         bad.append("lift-reproduction")
     for _ in range(5):
         w = np.zeros((grid.M + 1, 1))

@@ -70,6 +70,16 @@ def test_reduces_to_scalar_backward_recurrence(small_space):
                                atol=1e-13)
 
 
+def test_field_lives_on_the_solve_grid(small_space, rng):
+    _, Mh, Kh, _, _ = small_space
+    grid = make_grid(np.concatenate([[0.0],
+                                     np.cumsum(rng.uniform(0.05, 0.2, 5))]))
+    g = rng.normal(size=Mh.shape[0])
+    p = solve_adjoint(Mh, Kh, grid, terms=[RhsTerm(g, np.cos)])
+    np.testing.assert_array_equal(p.grid.t, grid.t)
+    assert len(p.values) == grid.M + 1
+
+
 def test_terminal_value_is_zero(small_space, rng):
     _, Mh, Kh, _, _ = small_space
     g = rng.normal(size=Mh.shape[0])

@@ -9,7 +9,7 @@ from parapt.control import (INACTIVE, LOWER, UPPER, AdmissibleSet,
                             control_to_rhs_terms)
 from parapt.fem import build_mesh, interpolate, mass_matrix
 from parapt.problems import example1
-from parapt.timegrid import PiecewiseLinearField, uniform_grid
+from parapt.timegrid import PiecewiseLinearField, make_grid, uniform_grid
 
 
 def box(lo, hi):
@@ -95,7 +95,7 @@ def test_apply_B_adjoint_extracts_nodal_pairings(rng):
     g = interpolate(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     grid = uniform_grid(1.0, 3)
     betas = rng.normal(size=(4, Mh.shape[0]))
-    p = PiecewiseLinearField(grid.t, betas)
+    p = PiecewiseLinearField(grid, betas)
     w = apply_B_adjoint(p, [g], Mh)
     assert w.shape == (1, 4)
     expect = [float(g @ (Mh @ b)) for b in betas]
@@ -107,7 +107,7 @@ def test_first_mode_pairing_value():
     mesh = build_mesh(33)
     Mh = mass_matrix(mesh)
     g = interpolate(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    p = PiecewiseLinearField(np.array([0.0, 1.0]), np.vstack([g, g]))
+    p = PiecewiseLinearField(make_grid([0.0, 1.0]), np.vstack([g, g]))
     w = apply_B_adjoint(p, [g], Mh)
     assert w[0][0] == pytest.approx(0.25, abs=2e-3)
 

@@ -14,7 +14,7 @@ from parapt.quadrature import gauss_points
 from parapt.state import solve_state
 from parapt.timegrid import (PiecewiseConstantField, PiecewiseLinearField,
                              dual_linear_projection, graded_grid,
-                             uniform_grid)
+                             make_grid, uniform_grid)
 
 
 def test_eoc_table_orders():
@@ -49,7 +49,8 @@ def test_field_error_norms_reproduction():
         return 1.0 + 2.0 * np.asarray(t)
 
     times = np.linspace(0.0, 0.7, 6)
-    approx = PiecewiseLinearField(times, theta(times)[:, None] * g[None, :])
+    approx = PiecewiseLinearField(make_grid(times),
+                                  theta(times)[:, None] * g[None, :])
     norms = field_error_norms([(theta, g)], approx, mesh, M_h)
     assert max(norms.values()) <= 1e-12
 
@@ -71,10 +72,7 @@ def test_field_error_norms_constant_field():
 
 def looped_field_error_norms(exact_terms, approx, mesh, M_h):
     """The same norms, one interval and one Gauss point at a time."""
-    if isinstance(approx, PiecewiseConstantField):
-        edges = approx.grid.t
-    else:
-        edges = approx.times
+    edges = approx.grid.t
     l1 = l2sq = linf = 0.0
     for m in range(len(edges) - 1):
         t0, t1 = edges[m], edges[m + 1]
@@ -169,7 +167,7 @@ def test_l2l2_distance_closed_form(pc_M, pl_M):
                                np.append(c, 9.0)[:, None] * v[None, :])
     nodes = uniform_grid(T, pl_M).t
     beta = rng.normal(size=pl_M + 1)
-    b = PiecewiseLinearField(nodes, beta[:, None] * v[None, :])
+    b = PiecewiseLinearField(make_grid(nodes), beta[:, None] * v[None, :])
 
     edges = uniform_grid(T, max(pc_M, pl_M)).t
     t0, t1 = edges[:-1], edges[1:]

@@ -12,8 +12,9 @@ def test_uniform_grid_layout():
     assert grid.M == 4
     np.testing.assert_allclose(grid.t, [0.0, 0.025, 0.05, 0.075, 0.1])
     np.testing.assert_allclose(grid.k, 0.025)
-    np.testing.assert_allclose(grid.midpoints, [0.0125, 0.0375, 0.0625, 0.0875])
-    np.testing.assert_allclose(grid.dual_nodes,
+    # the lift's grid: 0, the interval midpoints, T
+    w = PiecewiseConstantField(grid, np.ones((grid.M + 1, 1)))
+    np.testing.assert_allclose(dual_linear_projection(w, grid).grid.t,
                                [0.0, 0.0125, 0.0375, 0.0625, 0.0875, 0.1])
 
 
@@ -45,10 +46,30 @@ def test_piecewise_constant_field_lookup():
 
 
 def test_piecewise_linear_field_interpolates():
-    field = PiecewiseLinearField(np.array([0.0, 1.0, 3.0]),
+    field = PiecewiseLinearField(make_grid([0.0, 1.0, 3.0]),
                                  np.array([[0.0], [2.0], [0.0]]))
     np.testing.assert_allclose(field.value(np.array([0.5, 2.0]))[:, 0],
                                [1.0, 1.0])
+
+
+def test_piecewise_linear_field_matches_bare_node_formula(rng):
+    """On 0, T, a node, a midpoint and just outside [0, T] the field takes
+    the bare-node-array formula's values bit for bit, extending the first
+    and last interval's line past either end."""
+    times = np.array([0.0, 0.2, 0.5, 1.1])
+    values = rng.normal(size=(4, 3))
+    field = PiecewiseLinearField(make_grid(times), values)
+    t = np.array([-0.05, 0.0, 0.2, 0.35, 1.1, 1.15])
+    idx = np.clip(np.searchsorted(times, t, side="right") - 1,
+                  0, len(times) - 2)
+    r = ((t - times[idx]) / (times[idx + 1] - times[idx]))[:, None]
+    old = (1.0 - r) * values[idx] + r * values[idx + 1]
+    np.testing.assert_array_equal(field.value(t), old)
+    np.testing.assert_allclose(field.value(t[[0, -1]]),
+                               [1.25 * values[0] - 0.25 * values[1],
+                                values[3] + (values[3] - values[2]) / 12.0],
+                               rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(field.value(0.2), values[1])
 
 
 def test_interval_means_exact_for_quadratics():
@@ -96,6 +117,27 @@ def test_dual_projection_second_order():
         errs.append(np.abs(lifted.value(t) - np.sin(t)).max())
     eoc = np.log(errs[0] / errs[2]) / np.log(4.0)
     assert 1.8 <= eoc <= 2.2
+
+
+@pytest.mark.parametrize("grid",
+                         [uniform_grid(0.5, 20), uniform_grid(1.0, 40)],
+                         ids=["fewer-intervals", "longer-horizon"])
+def test_dual_projection_rejects_a_grid_not_the_fields(rng, grid):
+    """Both used to lift silently: to 22 nodes with 42 value rows, and to a
+    field on [0, 1]."""
+    w = PiecewiseConstantField(uniform_grid(0.5, 40),
+                               rng.normal(size=(41, 2)))
+    with pytest.raises(ValueError, match="the field's time nodes"):
+        dual_linear_projection(w, grid)
+
+
+def test_dual_projection_accepts_an_equal_grid(rng):
+    grid = graded_grid(0.5, 8, 2.0)
+    w = PiecewiseConstantField(grid, rng.normal(size=(9, 2)))
+    lifted = dual_linear_projection(w, graded_grid(0.5, 8, 2.0))
+    assert lifted.grid.M == 9 and lifted.values.shape == (10, 2)
+    np.testing.assert_array_equal(lifted.values,
+                                  dual_linear_projection(w, grid).values)
 
 
 def test_dual_projection_needs_two_intervals():
