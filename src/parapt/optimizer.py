@@ -28,9 +28,9 @@ w_i(m) = sum_{l>=m} R_i[l-m] . H_l, and w(M) = 0.  Its loads H_l = k M a_l
     G_i'i(m, j) = k sum_{l>=max(m, j)} (M R_i'[l-m]) . R_i[l-j],
 
 w^f the pairing under a^f, and the misfit is misfit^f + sum c . (w^f + w).
-A solve then marches D + 1 times before its first sweep, sweeps by
-algebra on G alone, and marches the reported state and its adjoint once,
-at the control of the last sweep.
+A solve then marches D + 1 times before its first sweep, sweeps by algebra
+on G alone, and at the last sweep's c sums a by row blocks of Toep(c_i), the
+lower-triangular Toeplitz matrix of c_i, and marches its adjoint once.
 """
 
 from dataclasses import dataclass, field
@@ -136,26 +136,26 @@ def _diagonal_suffix_sums(A):
 
 
 def _reduced_map(cache, grid, dp, MG, source_mom, target):
-    """pairing(mom) -> (w, misfit) of the control whose hat moments are
-    mom, by the module docstring's reduced map for a grid of one step
-    size.  Sets it up by D + 1 state marches; only G, w^f and misfit^f
-    outlive the set-up."""
+    """(pairing, state) of the control whose hat moments are mom, by the
+    module docstring's reduced map for a grid of one step size: pairing ->
+    (w, misfit), and state -> y_k as march_state leaves it, in a^f's field.
+    Sets up by D + 1 state marches; state may be called once."""
     M, n, D = grid.M, dp.M_h.shape[0], len(dp.shapes)
     unit = np.zeros((1, M, 2))
     unit[0, 0, 0] = 1.0
-    R = np.empty((D, M, n))
+    R = np.empty((D, M, n))             # reversed: R[i, M-1-d] = R_i[d]
     for i in range(D):
-        R[i] = march_state(cache, grid, unit, MG[i:i + 1],
-                           np.zeros(n)).values[:M]
-    H, misfit_f = _adjoint_loads(march_state(
-        cache, grid, source_mom, MG[D:], dp.y0).values[:M], dp.M_h, grid,
-        target)
+        R[i, ::-1] = march_state(cache, grid, unit, MG[i:i + 1],
+                                 np.zeros(n)).values[:M]
+    af = march_state(cache, grid, source_mom, MG[D:], dp.y0)
+    H, misfit_f = _adjoint_loads(af.values[:M], dp.M_h, grid, target)
     wf = np.zeros((D, M + 1))
-    wf[:, :M] = _diagonal_suffix_sums((R @ H.T)[:, :, None])[:, 0, 0]
+    wf[:, :M] = _diagonal_suffix_sums((R @ H.T)[:, ::-1, None])[:, 0, 0]
+    del H                               # a^f's field took its place
     # G((i', m), (i, j)) / k is the suffix sum from (m, j) along a diagonal
     # of the Gram matrix of the reversed responses
-    R = R[:, ::-1].reshape(D * M, n)
-    G = _diagonal_suffix_sums(((dp.M_h @ R.T).T @ R.T).reshape(
+    RT = R.reshape(D * M, n).T
+    G = _diagonal_suffix_sums(((dp.M_h @ RT).T @ RT).reshape(
         D, M, D, M)).reshape(D * M, D * M)
     G *= grid.k[0]
 
@@ -164,7 +164,21 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
         w = wf.copy()                   # G has no row for w(M) = 0
         w[:, :M] += (G @ c.ravel()).reshape(D, M)
         return w, misfit_f + float(np.vdot(c, (wf + w)[:, :M]))
-    return pairing
+
+    def state(mom):                     # row m of Toep(c_i) is W[i, m, ::-1]
+        a, W = af.values, np.lib.stride_tricks.sliding_window_view(
+            np.pad(mom[..., 0], ((0, 0), (M - 1, 0)))   # M - 1 zeros, c_i
+            + np.pad(mom[:, :-1, 1], ((0, 0), (M, 0))), M, axis=1)
+        for m0 in range(0, M, 128):     # rows m0..m1-1 reach R[:, M-m1:]
+            m1 = min(m0 + 128, M)       # each block copied, one BLAS call
+            a[m0:m1] += (W[:, m0:m1, M - m1:].copy() @ R[:, M - m1:]).sum(0)
+        finite = np.isfinite(a[:M]).all(axis=1)
+        if not finite.all():
+            raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
+        a[M] = (dp.M_h @ a[M - 1] + (-0.5 * grid.k[-1]) * (dp.K_h @ a[M - 1])
+                + np.concatenate([mom, source_mom])[:, -1, 1] @ MG)
+        return af
+    return pairing, state
 
 
 def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
@@ -181,7 +195,7 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     whose breakpoints do not run from 0 to grid.T.
 
     On a grid of one step size the sweeps run on the module docstring's
-    reduced map: (D + 3) M step solves and the terminal one, whatever the
+    reduced map: (D + 2) M step solves and the terminal one, whatever the
     number of sweeps.  Any other grid marches the state and the adjoint
     in each of its S sweeps: 2 S M step solves and the terminal one.
     Without a control component (D = 0) the first sweep's marches serve
@@ -208,11 +222,11 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
               mass_rows(M_h, [t.spatial for t in dp.yd_terms]))
     fields = [None, None]   # y_k and p_k, as the last march left them
 
-    def march(mom):
-        """March y_k at the control's hat moments ``mom`` and p_k from it
-        into ``fields``; returns the pairing and y_k's misfit."""
-        fields[0] = march_state(cache, grid, np.concatenate([mom, source_mom]),
-                                MG, dp.y0)
+    def march(mom, y=None):
+        """March y_k, unless given as ``y``, at the hat moments ``mom`` and
+        p_k from it into ``fields``; returns the pairing and y_k's misfit."""
+        fields[0] = y if y is not None else march_state(
+            cache, grid, np.concatenate([mom, source_mom]), MG, dp.y0)
         H, misfit = _adjoint_loads(fields[0].values[:grid.M], M_h, grid,
                                    target)
         fields[1] = march_adjoint(cache, grid, H)
@@ -222,8 +236,8 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     sweep, crit, history = 1, np.nan, []
     w_old = mom = failure = None
     try:
-        pairing = (_reduced_map(cache, grid, dp, MG, source_mom, target)
-                   if reduced else march)
+        pairing, state = (_reduced_map(cache, grid, dp, MG, source_mom,
+                                       target) if reduced else (march, None))
         for sweep in range(1, max_iters + 1):
             mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
             w, misfit = pairing(mom) if D or sweep == 1 else (w, misfit)
@@ -245,7 +259,8 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
         failure = f"{exc} in fixed-point sweep {sweep}"
     try:                    # the reported fields, at the last sweep's control
         if reduced and mom is not None:
-            march(mom)
+            y, pairing, state = state(mom), None, None  # drop R_i and G
+            march(mom, y)
         if fields[0] is not None:
             terminal_solve(cache, fields[0])
     except NonFiniteSweepError as exc:
