@@ -12,23 +12,24 @@ A grid whose steps differ marches the state and the adjoint in every
 sweep.  On a grid of one step size by state._one_step_size, as every
 uniform grid is, each step has T = M + (k/2) K and E = M - (k/2) K, and
 the control enters the state only through the weights c_ij = mom[i, j, 0]
-+ mom[i, j-1, 1] of its loads c_ij M g_i at the steps j = 0..M-1.  So the
-interval values are
++ mom[i, j-1, 1] of its loads c_ij M g_i at the steps j = 0..M-1, and so do
+the source terms and y0 (the load M y0 at step 0) whose profiles lie in the
+span of the g_i, by least-squares coefficients folded into c:
 
     a_m = a^f_m + sum_i sum_{j<=m} c_ij R_i[m-j],
     R_i[d] = (T^-1 E)^d T^-1 M g_i,
 
-a^f the state of the source and y0 alone and R_i the state of a unit load
-at step 0.  The adjoint march, beta_M = 0 and T beta_m = E beta_{m+1} +
-H_m, pairs through the same responses, as (T^-1 E)^d T^-1 is symmetric:
-w_i(m) = sum_{l>=m} R_i[l-m] . H_l, and w(M) = 0.  Its loads H_l = k M a_l
-+ h_l are linear in c, so
+a^f the state of the data off that span alone, 0 if none, and R_i the state
+of a unit load at step 0.  The adjoint march, beta_M = 0 and T beta_m = E
+beta_{m+1} + H_m, pairs through the same responses, as (T^-1 E)^d T^-1 is
+symmetric: w_i(m) = sum_{l>=m} R_i[l-m] . H_l, and w(M) = 0.  Its loads
+H_l = k M a_l + h_l are linear in c, so
 
     w = w^f + G c,
     G_i'i(m, j) = k sum_{l>=max(m, j)} (M R_i'[l-m]) . R_i[l-j],
 
 w^f the pairing under a^f, and the misfit is misfit^f + sum c . (w^f + w).
-A solve then marches D + 1 times before its first sweep, sweeps by algebra
+A solve first marches D times, and a^f unless it is 0, sweeps by algebra
 on G alone, and at the last sweep's c sums a by row blocks of Toep(c_i), the
 lower-triangular Toeplitz matrix of c_i, and marches its adjoint once.
 """
@@ -43,6 +44,7 @@ from .fem import interpolate
 from .state import (NonFiniteSweepError, StepMatrixCache, _one_step_size,
                     discretize_terms, march_state, mass_rows,
                     separable_sq_norm, term_moments, terminal_solve)
+from .timegrid import PiecewiseConstantField
 
 
 class FixedPointError(RuntimeError):
@@ -135,19 +137,32 @@ def _diagonal_suffix_sums(A):
     return A
 
 
+def _span_split(P, S):
+    """Least-squares coefficients L of the rows P on the rows S, 0 on rows
+    ``off`` the span: a remainder over 1e-13 of the row in norm, or NaN."""
+    L = P @ np.linalg.pinv(S)
+    off = ~(((P - L @ S) ** 2).sum(1) <= 1e-26 * (P ** 2).sum(1))
+    return np.where(off[:, None], 0.0, L), off
+
+
 def _reduced_map(cache, grid, dp, MG, source_mom, target):
     """(pairing, state) of the control whose hat moments are mom, by the
     module docstring's reduced map for a grid of one step size: pairing ->
     (w, misfit), and state -> y_k as march_state leaves it, in a^f's field.
-    Sets up by D + 1 state marches; state may be called once."""
+    Marches D times to set up, and a^f unless 0; state may be called once."""
     M, n, D = grid.M, dp.M_h.shape[0], len(dp.shapes)
-    unit = np.zeros((1, M, 2))
-    unit[0, 0, 0] = 1.0
+    unit = np.eye(1, 2 * M).reshape(1, M, 2)    # a unit load at step 0
     R = np.empty((D, M, n))             # reversed: R[i, M-1-d] = R_i[d]
     for i in range(D):
         R[i, ::-1] = march_state(cache, grid, unit, MG[i:i + 1],
                                  np.zeros(n)).values[:M]
-    af = march_state(cache, grid, source_mom, MG[D:], dp.y0)
+    fm = np.concatenate([source_mom, unit])     # y0: the load M y0 at 0
+    L, off = _span_split(np.array([*(t.spatial for t in dp.source_terms),
+                                   dp.y0]), np.array(dp.shapes))
+    c0 = L.T @ (fm[..., 0] + np.pad(fm[:, :-1, 1], ((0, 0), (1, 0))))
+    af = march_state(cache, grid, source_mom[off[:-1]], MG[D:][off[:-1]],
+                     dp.y0 * off[-1]) if off.any() else PiecewiseConstantField(
+                         grid, np.zeros((M + 1, n)))
     H, misfit_f = _adjoint_loads(af.values[:M], dp.M_h, grid, target)
     wf = np.zeros((D, M + 1))
     wf[:, :M] = _diagonal_suffix_sums((R @ H.T)[:, ::-1, None])[:, 0, 0]
@@ -160,14 +175,14 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
     G *= grid.k[0]
 
     def pairing(mom):
-        c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0)))
+        c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0))) + c0
         w = wf.copy()                   # G has no row for w(M) = 0
         w[:, :M] += (G @ c.ravel()).reshape(D, M)
         return w, misfit_f + float(np.vdot(c, (wf + w)[:, :M]))
 
     def state(mom):                     # row m of Toep(c_i) is W[i, m, ::-1]
         a, W = af.values, np.lib.stride_tricks.sliding_window_view(
-            np.pad(mom[..., 0], ((0, 0), (M - 1, 0)))   # M - 1 zeros, c_i
+            np.pad(mom[..., 0] + c0, ((0, 0), (M - 1, 0)))   # M - 1 zeros
             + np.pad(mom[:, :-1, 1], ((0, 0), (M, 0))), M, axis=1)
         for m0 in range(0, M, 128):     # rows m0..m1-1 reach R[:, M-m1:]
             m1 = min(m0 + 128, M)       # each block copied, one BLAS call
@@ -195,11 +210,11 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     whose breakpoints do not run from 0 to grid.T.
 
     On a grid of one step size the sweeps run on the module docstring's
-    reduced map: (D + 2) M step solves and the terminal one, whatever the
-    number of sweeps.  Any other grid marches the state and the adjoint
-    in each of its S sweeps: 2 S M step solves and the terminal one.
-    Without a control component (D = 0) the first sweep's marches serve
-    the second: 2 M step solves and the terminal one.
+    reduced map: (D + 1) M step solves, M more for data off the shapes'
+    span, and the terminal one, whatever the number of sweeps.  Any other
+    grid marches the state and the adjoint in each of its S sweeps: 2 S M
+    step solves and the terminal one.  Without a control component (D = 0)
+    the first sweep's marches serve the second: 2 M and the terminal one.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "

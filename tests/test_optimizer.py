@@ -1,5 +1,9 @@
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
 
@@ -14,7 +18,8 @@ from parapt.fem import build_mesh, interpolate, mass_matrix, stiffness_matrix
 from parapt.optimizer import (DiscreteProblem, FixedPointError,
                               _adjoint_loads, discretize_problem,
                               fixed_point_solve)
-from parapt.problems import example1, example2, manufactured_smooth
+from parapt.problems import (example1, example2, manufactured_smooth,
+                             sin_profile)
 from parapt.quadrature import gauss_points, split_at
 from parapt.state import (NonFiniteSweepError, RhsTerm, StepMatrixCache,
                           mass_rows, separable_sq_norm, solve_state,
@@ -382,7 +387,12 @@ def test_reduced_map_sweeps_as_the_marches_do(setup, monkeypatch):
     """On a uniform grid the sweeps by the reduced map and by marches give
     the same iterations, controls, adjoints and objectives to rounding."""
     prob, _, dp = setup()
-    grid = uniform_grid(prob.T, 8)
+    _assert_sweeps_as_marched(dp, uniform_grid(prob.T, 8), monkeypatch)
+
+
+def _assert_sweeps_as_marched(dp, grid, monkeypatch):
+    """The reduced map's sweeps on ``grid`` against marched ones, to 1e-12
+    of each compared field's size; returns the reduced solve's report."""
     reduced = fixed_point_solve(dp, grid, threshold=1e-11)
     _marching(monkeypatch)
     marched = fixed_point_solve(dp, grid, threshold=1e-11)
@@ -398,27 +408,86 @@ def test_reduced_map_sweeps_as_the_marches_do(setup, monkeypatch):
                 a, b, rtol=0, atol=1e-12 * np.abs(b).max(initial=0.0))
     assert reduced.final_criterion == pytest.approx(marched.final_criterion,
                                                     rel=0, abs=1e-12)
+    return reduced
 
 
-def test_step_solves_do_not_grow_with_sweeps(monkeypatch):
-    """A uniform grid makes (D + 2) M step solves and the k = 0 one,
-    whatever the number of sweeps; a graded grid 2 M per sweep."""
-    prob, _, dp = _setup(example2(), 9)
+def _mode2(mesh):
+    """sin(2 pi x) sin(2 pi y) on ``mesh``: off the span of every shape of
+    example 1, example 2 and _two_controls."""
+    return interpolate(mesh, sin_profile(2, 2))
+
+
+def _with_y0(setup, y0):
+    """``setup`` with y0 replaced by ``y0(mesh, dp)``."""
+    def make():
+        prob, mesh, dp = setup()
+        return prob, mesh, dataclasses.replace(dp, y0=y0(mesh, dp))
+    return make
+
+
+def _with_source(setup, profile):
+    """``setup`` with one more source term, on ``profile(mesh, dp)``."""
+    def make():
+        prob, mesh, dp = setup()
+        extra = RhsTerm(profile(mesh, dp), lambda t: np.cos(7.0 * t))
+        return prob, mesh, dataclasses.replace(
+            dp, source_terms=dp.source_terms + [extra])
+    return make
+
+
+_OFF_SPAN_SOURCE = _with_source(lambda: _setup(example2(), 9),
+                                lambda mesh, dp: _mode2(mesh))
+
+
+@pytest.mark.parametrize("setup, folds", [
+    (_OFF_SPAN_SOURCE, False),
+    (_with_y0(lambda: _setup(example2(), 9),
+              lambda mesh, dp: dp.y0 + _mode2(mesh)), False),
+    (_with_source(lambda: _two_controls(9), lambda mesh, dp:
+                  0.3 * dp.shapes[0] + 2.0 * dp.shapes[1]), True),
+    (_with_y0(lambda: _setup(example1(), 9),
+              lambda mesh, dp: 3.7 * dp.shapes[0]), True),
+    (_with_y0(lambda: _setup(example1(), 9),
+              lambda mesh, dp: dp.shapes[0] + 1e-9 * _mode2(mesh)), False)],
+    ids=["source-off-span", "y0-off-span", "two-controls-source-in-span",
+         "y0-folds", "y0-1e-9-off-span"])
+def test_data_in_the_shapes_span_folds_into_the_load_weights(
+        setup, folds, monkeypatch):
+    """A source profile or y0 in the span of the shapes is a load on the
+    impulse responses, and only data off the span is marched: (D + 1) M
+    step solves when everything folds, (D + 2) M otherwise.  Either way
+    the sweeps are the marched ones, and the reported state is solve_state
+    at the last sweep's control."""
+    prob, _, dp = setup()
+    D, M = len(dp.shapes), 8
+    grid = uniform_grid(prob.T, M)
+    _assert_state_of_last_sweep(dp, grid)
+    reduced = _assert_sweeps_as_marched(dp, grid, monkeypatch)
+    steps = [k for kind, k, _ in reduced.record if kind != "factor" and k > 0]
+    assert len(steps) == (D + 1 + (not folds)) * M
+
+
+def test_step_solves_do_not_grow_with_sweeps():
+    """A uniform grid makes (D + 1) M step solves and the k = 0 one,
+    whatever the number of sweeps, M more with a source off the span of
+    the shapes; a graded grid 2 M per sweep."""
     M = 8
 
-    def solves(grid, threshold):
+    def solves(dp, grid, threshold):
         rep = fixed_point_solve(dp, grid, threshold=threshold)
         steps = [k for kind, k, _ in rep.record if kind != "factor"]
         assert steps.count(0.0) == 1
         return rep.iterations, len(steps) - 1
 
-    loose, tight = (solves(uniform_grid(prob.T, M), threshold)
-                    for threshold in (1e-5, 1e-11))
-    assert loose[0] < tight[0]
-    assert loose[1] == tight[1] == (1 + 2) * M
-    for threshold in (1e-5, 1e-11):
-        sweeps, steps = solves(graded_grid(prob.T, M, 2), threshold)
-        assert steps == 2 * sweeps * M
+    for (prob, _, dp), marches in [(_setup(example2(), 9), 1 + 1),
+                                   (_OFF_SPAN_SOURCE(), 1 + 2)]:
+        loose, tight = (solves(dp, uniform_grid(prob.T, M), threshold)
+                        for threshold in (1e-5, 1e-11))
+        assert loose[0] < tight[0]
+        assert loose[1] == tight[1] == marches * M
+        for threshold in (1e-5, 1e-11):
+            sweeps, steps = solves(dp, graded_grid(prob.T, M, 2), threshold)
+            assert steps == 2 * sweeps * M
 
 
 @pytest.mark.parametrize("prob, M, make", [
@@ -430,12 +499,13 @@ def test_step_solves_do_not_grow_with_sweeps(monkeypatch):
          "example2-M239-graded-gamma-1"])
 def test_uniform_grids_take_the_reduced_map_with_one_factor(prob, M, make):
     """A uniform grid whose steps differ in the last bits, however it is
-    made, takes the reduced map on one factor: 3 M banded step solves for
-    D = 1 and the k = 0 one by PCG."""
+    made, takes the reduced map on one factor: 2 M banded step solves for
+    D = 1, whose source and y0 fold into the load weights, and the k = 0
+    one by PCG."""
     prob, _, dp = _setup(prob(), 9)
     rep = fixed_point_solve(dp, make(prob.T, M))
     assert Counter((kind, k == 0.0) for kind, k, _ in rep.record) == {
-        ("factor", False): 1, ("band", False): 3 * M, ("pcg", True): 1}
+        ("factor", False): 1, ("band", False): 2 * M, ("pcg", True): 1}
 
 
 @pytest.mark.parametrize("prob, lower, upper, start, sweeps", [
@@ -502,6 +572,58 @@ def test_superposed_state_holds_no_toeplitz_matrix():
         tracemalloc.stop()
     assert rep.converged
     assert peak <= 1.5 * 8 * M * M
+
+
+_STATE_RSS = textwrap.dedent("""
+    import parapt.optimizer as opt
+    from parapt.fem import build_mesh, mass_matrix, stiffness_matrix
+    from parapt.problems import example2
+    from parapt.timegrid import uniform_grid
+
+    prob, mesh = example2(), build_mesh(9)
+    dp = opt.discretize_problem(prob, mesh, mass_matrix(mesh),
+                                stiffness_matrix(mesh))
+    real, growth = opt._reduced_map, []
+
+    def peak():                 # this process's peak resident KiB
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:"))
+
+    def reduced_map(*args):
+        pairing, state = real(*args)
+
+        def measured(mom):
+            before = peak()
+            y = state(mom)
+            growth.append(peak() - before)
+            return y
+        return pairing, measured
+
+    opt._reduced_map = reduced_map
+    assert opt.fixed_point_solve(dp, uniform_grid(prob.T, 4096)).converged
+    print(growth[0] * 1024)     # in bytes
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident size in /proc")
+def test_superposed_state_grows_peak_rss_by_under_half_a_square_array():
+    """numpy's matmul copies a strided operand where tracemalloc does not
+    see it, so a fresh process reads its peak resident size around the
+    state's sum: at nh=9 and M=4096, with G alive, it grows by less than
+    half of one M x M array of doubles.  A product with the whole sliding
+    window of load weights, copied inside matmul, grows it by a full one.
+    The peak is VmHWM, not ru_maxrss: Linux starts a spawned process's
+    ru_maxrss at its parent's, and the test session's own peak hides
+    that growth."""
+    M = 4096
+    src = os.path.dirname(os.path.dirname(parapt.optimizer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _STATE_RSS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 0.5 * 8 * M * M
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "marched"])
