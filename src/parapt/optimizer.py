@@ -8,29 +8,30 @@ stops once the pairing moves by at most the threshold in the maximum norm
 over grid nodes and components.  Because the stopping test compares
 consecutive pairings, the count never drops below two sweeps.
 
-A grid whose steps differ marches the state and the adjoint in every
-sweep.  On a grid of one step size by state._one_step_size, as every
-uniform grid is, each step has T = M + (k/2) K and E = M - (k/2) K, and
-the control enters the state only through the weights c_ij = mom[i, j, 0]
-+ mom[i, j-1, 1] of its loads c_ij M g_i at the steps j = 0..M-1, and so do
-the source terms and y0 (the load M y0 at step 0) whose profiles lie in the
-span of the g_i, by least-squares coefficients folded into c:
+A level marches the state and the adjoint in every sweep unless D >= 1,
+its grid is of one step size (state._one_step_size; every uniform grid
+is) and every source profile and y0 lies in the span of the g_i.  Then
+each step has T = M + (k/2) K and E = M - (k/2) K, and every load is
+c_ij M g_i at a step j = 0..M-1: the control's weight mom[i, j, 0] +
+mom[i, j-1, 1] plus the source's and y0's (the load M y0 at step 0) by
+their least-squares coefficients.  So
 
-    a_m = a^f_m + sum_i sum_{j<=m} c_ij R_i[m-j],
+    a_m = sum_i sum_{j<=m} c_ij R_i[m-j],
     R_i[d] = (T^-1 E)^d T^-1 M g_i,
 
-a^f the state of the data off that span alone, 0 if none, and R_i the state
-of a unit load at step 0.  The adjoint march, beta_M = 0 and T beta_m = E
-beta_{m+1} + H_m, pairs through the same responses, as (T^-1 E)^d T^-1 is
-symmetric: w_i(m) = sum_{l>=m} R_i[l-m] . H_l, and w(M) = 0.  Its loads
-H_l = k M a_l + h_l are linear in c, so
+R_i the state of a unit load at step 0.  The adjoint march, beta_M = 0
+and T beta_m = E beta_{m+1} + H_m, pairs through the same responses, as
+(T^-1 E)^d T^-1 is symmetric: w_i(m) = sum_{l>=m} R_i[l-m] . H_l, and
+w(M) = 0.  Its loads H_l = k M a_l + h_l are linear in c, so
 
     w = w^f + G c,
+    w^f_i(m) = -sum_t sum_{l>=m} ints[t, l] R_i[l-m] . M y_t,
     G_i'i(m, j) = k sum_{l>=max(m, j)} (M R_i'[l-m]) . R_i[l-j],
 
-w^f the pairing under a^f, and the misfit is misfit^f + sum c . (w^f + w).
-A solve first marches D times, and a^f unless it is 0, sweeps by algebra
-on G alone, and at the last sweep's c sums a by row blocks of Toep(c_i), the
+w^f the pairing of the target y_d = sum_t theta_t y_t alone, ints[t, l]
+the integral of theta_t over I_l, and the misfit is ||y_d||^2 + sum c .
+(w^f + w).  A solve first marches D times, sweeps by algebra on G alone,
+and at the last sweep's c sums a by row blocks of Toep(c_i), the
 lower-triangular Toeplitz matrix of c_i, and marches its adjoint once.
 """
 
@@ -137,19 +138,22 @@ def _diagonal_suffix_sums(A):
     return A
 
 
-def _span_split(P, S):
-    """Least-squares coefficients L of the rows P on the rows S, 0 on rows
-    ``off`` the span: a remainder over 1e-13 of the row in norm, or NaN."""
-    L = P @ np.linalg.pinv(S)
-    off = ~(((P - L @ S) ** 2).sum(1) <= 1e-26 * (P ** 2).sum(1))
-    return np.where(off[:, None], 0.0, L), off
+def _span_coefficients(dp):
+    """Least-squares coefficients of the source profiles and y0 on finite
+    shapes; None unless each remainder is within 1e-13 of its row in norm."""
+    if not np.isfinite(dp.shapes).all():    # pinv raises; marches report it
+        return None
+    P = np.array([*(t.spatial for t in dp.source_terms), dp.y0])
+    L = P @ np.linalg.pinv(dp.shapes)
+    return L if (((P - L @ dp.shapes) ** 2).sum(1)
+                 <= 1e-26 * (P ** 2).sum(1)).all() else None
 
 
-def _reduced_map(cache, grid, dp, MG, source_mom, target):
+def _reduced_map(cache, grid, dp, MG, source_mom, target, L):
     """(pairing, state) of the control whose hat moments are mom, by the
-    module docstring's reduced map for a grid of one step size: pairing ->
-    (w, misfit), and state -> y_k as march_state leaves it, in a^f's field.
-    Marches D times to set up, and a^f unless 0; state may be called once."""
+    module docstring's reduced map, L the source profiles' and y0's
+    coefficients on the shapes: pairing -> (w, misfit), and state -> y_k as
+    march_state leaves it.  Marches D times to set up."""
     M, n, D = grid.M, dp.M_h.shape[0], len(dp.shapes)
     unit = np.eye(1, 2 * M).reshape(1, M, 2)    # a unit load at step 0
     R = np.empty((D, M, n))             # reversed: R[i, M-1-d] = R_i[d]
@@ -157,16 +161,12 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
         R[i, ::-1] = march_state(cache, grid, unit, MG[i:i + 1],
                                  np.zeros(n)).values[:M]
     fm = np.concatenate([source_mom, unit])     # y0: the load M y0 at 0
-    L, off = _span_split(np.array([*(t.spatial for t in dp.source_terms),
-                                   dp.y0]), np.array(dp.shapes))
     c0 = L.T @ (fm[..., 0] + np.pad(fm[:, :-1, 1], ((0, 0), (1, 0))))
-    af = march_state(cache, grid, source_mom[off[:-1]], MG[D:][off[:-1]],
-                     dp.y0 * off[-1]) if off.any() else PiecewiseConstantField(
-                         grid, np.zeros((M + 1, n)))
-    H, misfit_f = _adjoint_loads(af.values[:M], dp.M_h, grid, target)
-    wf = np.zeros((D, M + 1))
-    wf[:, :M] = _diagonal_suffix_sums((R @ H.T)[:, ::-1, None])[:, 0, 0]
-    del H                               # a^f's field took its place
+    sq, ints, MG_yd = target
+    Q = R @ MG_yd.T                     # Q[i, M-1-d, t] = R_i[d] . M y_t
+    wf = np.zeros((D, M + 1))           # w^f, one correlation per (i, t)
+    for i, t in np.ndindex(D, len(ints)):
+        wf[i, :M] -= np.convolve(ints[t], Q[i, :, t])[M - 1:]
     # G((i', m), (i, j)) / k is the suffix sum from (m, j) along a diagonal
     # of the Gram matrix of the reversed responses
     RT = R.reshape(D * M, n).T
@@ -178,10 +178,10 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
         c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0))) + c0
         w = wf.copy()                   # G has no row for w(M) = 0
         w[:, :M] += (G @ c.ravel()).reshape(D, M)
-        return w, misfit_f + float(np.vdot(c, (wf + w)[:, :M]))
+        return w, sq + float(np.vdot(c, (wf + w)[:, :M]))
 
     def state(mom):                     # row m of Toep(c_i) is W[i, m, ::-1]
-        a, W = af.values, np.lib.stride_tricks.sliding_window_view(
+        a, W = np.zeros((M + 1, n)), np.lib.stride_tricks.sliding_window_view(
             np.pad(mom[..., 0] + c0, ((0, 0), (M - 1, 0)))   # M - 1 zeros
             + np.pad(mom[:, :-1, 1], ((0, 0), (M, 0))), M, axis=1)
         for m0 in range(0, M, 128):     # rows m0..m1-1 reach R[:, M-m1:]
@@ -192,7 +192,7 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target):
             raise NonFiniteSweepError(int(np.argmin(finite)) + 1)
         a[M] = (dp.M_h @ a[M - 1] + (-0.5 * grid.k[-1]) * (dp.K_h @ a[M - 1])
                 + np.concatenate([mom, source_mom])[:, -1, 1] @ MG)
-        return af
+        return PiecewiseConstantField(grid, a)
     return pairing, state
 
 
@@ -209,12 +209,12 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     is not an integer of at least 1, and a u_init without D components or
     whose breakpoints do not run from 0 to grid.T.
 
-    On a grid of one step size the sweeps run on the module docstring's
-    reduced map: (D + 1) M step solves, M more for data off the shapes'
-    span, and the terminal one, whatever the number of sweeps.  Any other
-    grid marches the state and the adjoint in each of its S sweeps: 2 S M
-    step solves and the terminal one.  Without a control component (D = 0)
-    the first sweep's marches serve the second: 2 M and the terminal one.
+    Where the module docstring's reduced map applies, the sweeps take
+    (D + 1) M step solves and the terminal one, whatever their number.
+    Any other level marches the state and the adjoint in each of its S
+    sweeps: 2 S M step solves and the terminal one.  Without a control
+    component (D = 0) the first sweep's marches serve the second: 2 M and
+    the terminal one.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be non-negative and finite, "
@@ -247,12 +247,12 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
         fields[1] = march_adjoint(cache, grid, H)
         return (fields[1].values @ MG[:D].T).T, misfit
 
-    reduced = bool(D) and _one_step_size(grid.k)
+    L = _span_coefficients(dp) if D and _one_step_size(grid.k) else None
     sweep, crit, history = 1, np.nan, []
     w_old = mom = failure = None
     try:
-        pairing, state = (_reduced_map(cache, grid, dp, MG, source_mom,
-                                       target) if reduced else (march, None))
+        pairing, state = (march, None) if L is None else _reduced_map(
+            cache, grid, dp, MG, source_mom, target, L)
         for sweep in range(1, max_iters + 1):
             mom = term_moments(control_to_rhs_terms(u, dp.shapes), grid)
             w, misfit = pairing(mom) if D or sweep == 1 else (w, misfit)
@@ -273,7 +273,7 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
     except NonFiniteSweepError as exc:
         failure = f"{exc} in fixed-point sweep {sweep}"
     try:                    # the reported fields, at the last sweep's control
-        if reduced and mom is not None:
+        if L is not None and mom is not None:
             y, pairing, state = state(mom), None, None  # drop R_i and G
             march(mom, y)
         if fields[0] is not None:

@@ -376,18 +376,56 @@ def _marching(monkeypatch):
     monkeypatch.setattr(parapt.optimizer, "_one_step_size", lambda k: False)
 
 
-@pytest.mark.parametrize("setup", [
-    lambda: _setup(example1(), 9), lambda: _setup(example1(), 17),
-    lambda: _setup(example2(), 9), lambda: _setup(example2(), 17),
-    lambda: _setup(manufactured_smooth(), 9), lambda: _two_controls(9),
-    lambda: _two_controls(17)],
+def _mode2(mesh):
+    """sin(2 pi x) sin(2 pi y) on ``mesh``: off the span of every shape of
+    example 1, example 2 and _two_controls."""
+    return interpolate(mesh, sin_profile(2, 2))
+
+
+def _with_y0(setup, y0):
+    """``setup`` with y0 replaced by ``y0(mesh, dp)``."""
+    def make():
+        prob, mesh, dp = setup()
+        return prob, mesh, dataclasses.replace(dp, y0=y0(mesh, dp))
+    return make
+
+
+def _with_source(setup, profile, terms="source_terms"):
+    """``setup`` with one more source term, on ``profile(mesh, dp)`` times
+    cos 7t, or target term with ``terms="yd_terms"``."""
+    def make():
+        prob, mesh, dp = setup()
+        extra = RhsTerm(profile(mesh, dp), lambda t: np.cos(7.0 * t))
+        return prob, mesh, dataclasses.replace(
+            dp, **{terms: getattr(dp, terms) + [extra]})
+    return make
+
+
+def _with_mode2_target(setup):
+    """``setup`` with a second target term, off the span of the shapes."""
+    return _with_source(setup, lambda mesh, dp: _mode2(mesh), "yd_terms")
+
+
+@pytest.mark.parametrize("setup, M", [
+    (lambda: _setup(example1(), 9), 8), (lambda: _setup(example1(), 17), 8),
+    (lambda: _setup(example2(), 9), 8), (lambda: _setup(example2(), 17), 8),
+    (lambda: _setup(manufactured_smooth(), 9), 8),
+    (lambda: _two_controls(9), 8), (lambda: _two_controls(17), 8),
+    (_with_mode2_target(lambda: _setup(example2(), 9)), 8),
+    (_with_mode2_target(lambda: _two_controls(9)), 8),
+    (lambda: _setup(example2(), 9), 200),
+    (_with_mode2_target(lambda: _two_controls(9)), 200)],
     ids=["example1-nh9", "example1-nh17", "example2-nh9", "example2-nh17",
-         "manufactured-nh9", "two-controls-nh9", "two-controls-nh17"])
-def test_reduced_map_sweeps_as_the_marches_do(setup, monkeypatch):
+         "manufactured-nh9", "two-controls-nh9", "two-controls-nh17",
+         "example2-nh9-two-target-terms", "two-controls-nh9-two-target-terms",
+         "example2-nh9-M200", "two-controls-nh9-two-target-terms-M200"])
+def test_reduced_map_sweeps_as_the_marches_do(setup, M, monkeypatch):
     """On a uniform grid the sweeps by the reduced map and by marches give
-    the same iterations, controls, adjoints and objectives to rounding."""
+    the same iterations, controls, adjoints and objectives to rounding,
+    with a target term off the span of the shapes too, and at M = 200, past
+    the state's 128-row blocks."""
     prob, _, dp = setup()
-    _assert_sweeps_as_marched(dp, uniform_grid(prob.T, 8), monkeypatch)
+    _assert_sweeps_as_marched(dp, uniform_grid(prob.T, M), monkeypatch)
 
 
 def _assert_sweeps_as_marched(dp, grid, monkeypatch):
@@ -411,30 +449,6 @@ def _assert_sweeps_as_marched(dp, grid, monkeypatch):
     return reduced
 
 
-def _mode2(mesh):
-    """sin(2 pi x) sin(2 pi y) on ``mesh``: off the span of every shape of
-    example 1, example 2 and _two_controls."""
-    return interpolate(mesh, sin_profile(2, 2))
-
-
-def _with_y0(setup, y0):
-    """``setup`` with y0 replaced by ``y0(mesh, dp)``."""
-    def make():
-        prob, mesh, dp = setup()
-        return prob, mesh, dataclasses.replace(dp, y0=y0(mesh, dp))
-    return make
-
-
-def _with_source(setup, profile):
-    """``setup`` with one more source term, on ``profile(mesh, dp)``."""
-    def make():
-        prob, mesh, dp = setup()
-        extra = RhsTerm(profile(mesh, dp), lambda t: np.cos(7.0 * t))
-        return prob, mesh, dataclasses.replace(
-            dp, source_terms=dp.source_terms + [extra])
-    return make
-
-
 _OFF_SPAN_SOURCE = _with_source(lambda: _setup(example2(), 9),
                                 lambda mesh, dp: _mode2(mesh))
 
@@ -454,23 +468,23 @@ _OFF_SPAN_SOURCE = _with_source(lambda: _setup(example2(), 9),
 def test_data_in_the_shapes_span_folds_into_the_load_weights(
         setup, folds, monkeypatch):
     """A source profile or y0 in the span of the shapes is a load on the
-    impulse responses, and only data off the span is marched: (D + 1) M
-    step solves when everything folds, (D + 2) M otherwise.  Either way
-    the sweeps are the marched ones, and the reported state is solve_state
-    at the last sweep's control."""
+    impulse responses: (D + 1) M step solves when everything folds.  With
+    data off the span the level marches every sweep: 2 S M for S sweeps.
+    Either way the sweeps are the marched ones, and the reported state is
+    solve_state at the last sweep's control."""
     prob, _, dp = setup()
     D, M = len(dp.shapes), 8
     grid = uniform_grid(prob.T, M)
     _assert_state_of_last_sweep(dp, grid)
-    reduced = _assert_sweeps_as_marched(dp, grid, monkeypatch)
-    steps = [k for kind, k, _ in reduced.record if kind != "factor" and k > 0]
-    assert len(steps) == (D + 1 + (not folds)) * M
+    rep = _assert_sweeps_as_marched(dp, grid, monkeypatch)
+    steps = [k for kind, k, _ in rep.record if kind != "factor" and k > 0]
+    assert len(steps) == (D + 1 if folds else 2 * rep.iterations) * M
 
 
 def test_step_solves_do_not_grow_with_sweeps():
     """A uniform grid makes (D + 1) M step solves and the k = 0 one,
-    whatever the number of sweeps, M more with a source off the span of
-    the shapes; a graded grid 2 M per sweep."""
+    whatever the number of sweeps; with a source off the span of the
+    shapes it marches, as a graded grid does: 2 M per sweep."""
     M = 8
 
     def solves(dp, grid, threshold):
@@ -479,12 +493,13 @@ def test_step_solves_do_not_grow_with_sweeps():
         assert steps.count(0.0) == 1
         return rep.iterations, len(steps) - 1
 
-    for (prob, _, dp), marches in [(_setup(example2(), 9), 1 + 1),
-                                   (_OFF_SPAN_SOURCE(), 1 + 2)]:
+    for (prob, _, dp), folds in [(_setup(example2(), 9), True),
+                                 (_OFF_SPAN_SOURCE(), False)]:
         loose, tight = (solves(dp, uniform_grid(prob.T, M), threshold)
                         for threshold in (1e-5, 1e-11))
         assert loose[0] < tight[0]
-        assert loose[1] == tight[1] == marches * M
+        for sweeps, steps in (loose, tight):
+            assert steps == (1 + 1 if folds else 2 * sweeps) * M
         for threshold in (1e-5, 1e-11):
             sweeps, steps = solves(dp, graded_grid(prob.T, M, 2), threshold)
             assert steps == 2 * sweeps * M
@@ -629,8 +644,8 @@ def test_superposed_state_grows_peak_rss_by_under_half_a_square_array():
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "marched"])
 def test_non_finite_data_ends_in_the_first_sweep(coarse_setup, monkeypatch,
                                                  reduced):
-    """A NaN in y0 stops the state march of the first sweep, or of the
-    reduced map's set-up, which counts as that sweep."""
+    """A NaN in y0 stops the state march of the first sweep, on a uniform
+    grid too, where a NaN y0 is off the span of the shapes."""
     prob, _, dp = coarse_setup
     broken = dataclasses.replace(dp, y0=np.full_like(dp.y0, np.nan))
     if not reduced:
@@ -640,6 +655,19 @@ def test_non_finite_data_ends_in_the_first_sweep(coarse_setup, monkeypatch,
         fixed_point_solve(broken, uniform_grid(prob.T, 5))
     assert info.value.report.state is None
     assert not info.value.report.converged
+
+
+def test_non_finite_shape_ends_in_the_first_sweep(coarse_setup):
+    """A NaN in a control shape stops the first sweep's state march on a
+    uniform grid too, with no error from the span test before it."""
+    prob, _, dp = coarse_setup
+    shape = dp.shapes[0].copy()
+    shape[3] = np.nan
+    with pytest.raises(FixedPointError, match="non-finite value at step 1 "
+                       "of a time sweep in fixed-point sweep 1") as info:
+        fixed_point_solve(dataclasses.replace(dp, shapes=[shape]),
+                          uniform_grid(prob.T, 5))
+    assert info.value.report.state is None
 
 
 def _fails_with(info, message, iterations, finite, fields, adjoint=None):
