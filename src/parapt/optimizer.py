@@ -26,13 +26,17 @@ w(M) = 0.  Its loads H_l = k M a_l + h_l are linear in c, so
 
     w = w^f + G c,
     w^f_i(m) = -sum_t sum_{l>=m} ints[t, l] R_i[l-m] . M y_t,
-    G_i'i(m, j) = k sum_{l>=max(m, j)} (M R_i'[l-m]) . R_i[l-j],
+    G_i'i(m, j) = k sum_{l>=max(m, j)} (M R_i'[l-m]) . R_i[l-j]
+                = C_i'i[|m-j|] - C_i'i[2M-m-j],
+    C_i'i[s] = k sum_{t>=0} rho_i'i[s+2t],  rho_i'i[a+b] = R_i'[a] . M R_i[b],
 
 w^f the pairing of the target y_d = sum_t theta_t y_t alone, ints[t, l]
-the integral of theta_t over I_l, and the misfit is ||y_d||^2 + sum c .
-(w^f + w).  A solve first marches D times, sweeps by algebra on G alone,
-and at the last sweep's c sums a by row blocks of Toep(c_i), the
-lower-triangular Toeplitz matrix of c_i, and marches its adjoint once.
+the integral of theta_t over I_l, the moments rho_i'i[s], s = 0..2M-2
+and 0 past it, well defined as M (T^-1 E)^d is symmetric, and the misfit
+||y_d||^2 + sum c . (w^f + w).  A solve first marches D times, sweeps by two
+correlations of C_i'i with c_i per (i', i), and at the last sweep's c sums
+a by row blocks of Toep(c_i), the lower-triangular Toeplitz matrix of
+c_i, and marches its adjoint once.
 """
 
 from dataclasses import dataclass, field
@@ -130,14 +134,6 @@ def discretize_problem(problem, mesh, M_h, K_h):
                            source_terms, yd_terms)
 
 
-def _diagonal_suffix_sums(A):
-    """A[..., m, :, j] <- the sum over t >= 0 of A[..., m + t, :, j + t],
-    in place; returns A."""
-    for m in range(A.shape[-3] - 2, -1, -1):
-        A[..., m, :, :-1] += A[..., m + 1, :, 1:]
-    return A
-
-
 def _span_coefficients(dp):
     """Least-squares coefficients of the source profiles and y0 on finite
     shapes; None unless each remainder is within 1e-13 of its row in norm."""
@@ -153,7 +149,7 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target, L):
     """(pairing, state) of the control whose hat moments are mom, by the
     module docstring's reduced map, L the source profiles' and y0's
     coefficients on the shapes: pairing -> (w, misfit), and state -> y_k as
-    march_state leaves it.  Marches D times to set up."""
+    march_state leaves it.  Marches D times to set up; keeps R and C."""
     M, n, D = grid.M, dp.M_h.shape[0], len(dp.shapes)
     unit = np.eye(1, 2 * M).reshape(1, M, 2)    # a unit load at step 0
     R = np.empty((D, M, n))             # reversed: R[i, M-1-d] = R_i[d]
@@ -167,17 +163,20 @@ def _reduced_map(cache, grid, dp, MG, source_mom, target, L):
     wf = np.zeros((D, M + 1))           # w^f, one correlation per (i, t)
     for i, t in np.ndindex(D, len(ints)):
         wf[i, :M] -= np.convolve(ints[t], Q[i, :, t])[M - 1:]
-    # G((i', m), (i, j)) / k is the suffix sum from (m, j) along a diagonal
-    # of the Gram matrix of the reversed responses
-    RT = R.reshape(D * M, n).T
-    G = _diagonal_suffix_sums(((dp.M_h @ RT).T @ RT).reshape(
-        D, M, D, M)).reshape(D * M, D * M)
-    G *= grid.k[0]
+    MR = (dp.M_h @ R.reshape(D * M, n).T).T.reshape(D, M, n)
+    # the reversed rows give rho by falling s, so its cumsums are C, reversed
+    rho = np.zeros((D, D, M + 1, 2))    # rho[2M-2 - 2p - q] at [..., p + 1, q]
+    rho[:, :, 1:, 0] = np.einsum("ian,jan->ija", R, MR)
+    rho[:, :, 1:-1, 1] = np.einsum("ian,jan->ija", R[:, 1:], MR[:, :-1])
+    C = grid.k[0] * np.cumsum(rho, 2).reshape(D, D, -1)[..., 2 * M::-1]
+    toeplitz = np.concatenate([C[..., M - 1:0:-1], C[..., :M]], axis=-1)
 
     def pairing(mom):
         c = mom[..., 0] + np.pad(mom[:, :-1, 1], ((0, 0), (1, 0))) + c0
         w = wf.copy()                   # G has no row for w(M) = 0
-        w[:, :M] += (G @ c.ravel()).reshape(D, M)
+        for i_, i in np.ndindex(D, D):  # C[|m - j|] c[j], less C[2M - m - j]
+            w[i_, :M] += (np.correlate(toeplitz[i_, i], c[i, ::-1], "valid")
+                          - np.correlate(C[i_, i, 2 * M:1:-1], c[i], "valid"))
         return w, sq + float(np.vdot(c, (wf + w)[:, :M]))
 
     def state(mom):                     # row m of Toep(c_i) is W[i, m, ::-1]
@@ -274,7 +273,7 @@ def fixed_point_solve(dp, grid, threshold=1e-5, max_iters=100, u_init=None):
         failure = f"{exc} in fixed-point sweep {sweep}"
     try:                    # the reported fields, at the last sweep's control
         if L is not None and mom is not None:
-            y, pairing, state = state(mom), None, None  # drop R_i and G
+            y, pairing, state = state(mom), None, None  # drop R_i and C
             march(mom, y)
         if fields[0] is not None:
             terminal_solve(cache, fields[0])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -414,16 +415,21 @@ def _with_mode2_target(setup):
     (_with_mode2_target(lambda: _setup(example2(), 9)), 8),
     (_with_mode2_target(lambda: _two_controls(9)), 8),
     (lambda: _setup(example2(), 9), 200),
-    (_with_mode2_target(lambda: _two_controls(9)), 200)],
+    (_with_mode2_target(lambda: _two_controls(9)), 200),
+    *((setup, M) for M in (1, 2, 3) for setup in (
+        lambda: _setup(example2(), 9), lambda: _two_controls(9)))],
     ids=["example1-nh9", "example1-nh17", "example2-nh9", "example2-nh17",
          "manufactured-nh9", "two-controls-nh9", "two-controls-nh17",
          "example2-nh9-two-target-terms", "two-controls-nh9-two-target-terms",
-         "example2-nh9-M200", "two-controls-nh9-two-target-terms-M200"])
+         "example2-nh9-M200", "two-controls-nh9-two-target-terms-M200",
+         *(f"{name}-nh9-M{M}" for M in (1, 2, 3)
+           for name in ("example2", "two-controls"))])
 def test_reduced_map_sweeps_as_the_marches_do(setup, M, monkeypatch):
     """On a uniform grid the sweeps by the reduced map and by marches give
     the same iterations, controls, adjoints and objectives to rounding,
-    with a target term off the span of the shapes too, and at M = 200, past
-    the state's 128-row blocks."""
+    with a target term off the span of the shapes too, at M = 200, past
+    the state's 128-row blocks, and at M = 1, 2 and 3, where the moment
+    sequences have 1, 3 and 5 entries."""
     prob, _, dp = setup()
     _assert_sweeps_as_marched(dp, uniform_grid(prob.T, M), monkeypatch)
 
@@ -557,9 +563,9 @@ def test_no_control_marches_state_and_adjoint_once():
 
 
 def test_reduced_map_setup_holds_one_square_array():
-    """The reduced map's set-up sums G's diagonals and scales it in place:
-    a fixed-point solve at nh=9 and M=2048 allocates at most 1.5 M x M
-    arrays of doubles at its peak."""
+    """The reduced map's set-up keeps G's 2M - 1 moments per pair of
+    components, not G: a fixed-point solve at nh=9 and M=2048 allocates at
+    most 1.5 M x M arrays of doubles at its peak."""
     prob, _, dp = _setup(example2(), 9)
     M = 2048
     tracemalloc.start()
@@ -574,9 +580,10 @@ def test_reduced_map_setup_holds_one_square_array():
 
 def test_superposed_state_holds_no_toeplitz_matrix():
     """The reported state is summed by row blocks of the Toeplitz matrices
-    of the load weights: a fixed-point solve at nh=9 and M=4096, whose G
-    alone takes one M x M array of doubles, peaks at most at 1.5 of them,
-    so no M x M Toeplitz matrix exists beside G."""
+    of the load weights: a fixed-point solve at nh=9 and M=4096 peaks at
+    most at 1.5 M x M arrays of doubles.  No G is stored beside them, so
+    test_reduced_map_holds_no_square_array's quarter of one, on the same
+    solve, rules out an M x M Toeplitz matrix as well."""
     prob, _, dp = _setup(example2(), 9)
     M = 4096
     tracemalloc.start()
@@ -616,9 +623,22 @@ _STATE_RSS = textwrap.dedent("""
         return pairing, measured
 
     opt._reduced_map = reduced_map
+    before = peak()
     assert opt.fixed_point_solve(dp, uniform_grid(prob.T, 4096)).converged
-    print(growth[0] * 1024)     # in bytes
+    print(growth[0] * 1024, (peak() - before) * 1024)     # in bytes
 """)
+
+
+@functools.cache
+def _peak_rss_growth():
+    """The _STATE_RSS probe's growths of its peak resident size, in bytes:
+    around the state's sum, and over the whole fixed-point solve."""
+    src = os.path.dirname(os.path.dirname(parapt.optimizer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _STATE_RSS], env=env,
+                         capture_output=True, text=True, check=True)
+    return [int(word) for word in out.stdout.split()]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -626,19 +646,42 @@ _STATE_RSS = textwrap.dedent("""
 def test_superposed_state_grows_peak_rss_by_under_half_a_square_array():
     """numpy's matmul copies a strided operand where tracemalloc does not
     see it, so a fresh process reads its peak resident size around the
-    state's sum: at nh=9 and M=4096, with G alive, it grows by less than
-    half of one M x M array of doubles.  A product with the whole sliding
-    window of load weights, copied inside matmul, grows it by a full one.
-    The peak is VmHWM, not ru_maxrss: Linux starts a spawned process's
-    ru_maxrss at its parent's, and the test session's own peak hides
-    that growth."""
+    state's sum: at nh=9 and M=4096 it grows by less than half of one
+    M x M array of doubles.  A product with the whole sliding window of
+    load weights, copied inside matmul, grows it by a full one.  The peak
+    is VmHWM, not ru_maxrss: Linux starts a spawned process's ru_maxrss at
+    its parent's, and the test session's own peak hides that growth."""
     M = 4096
-    src = os.path.dirname(os.path.dirname(parapt.optimizer.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", _STATE_RSS], env=env,
-                         capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 0.5 * 8 * M * M
+    assert _peak_rss_growth()[0] < 0.5 * 8 * M * M
+
+
+def test_reduced_map_holds_no_square_array():
+    """G is Toeplitz minus Hankel in its 2M - 1 moments per pair of
+    components, and the pairing correlates them with the load weights: a
+    fixed-point solve at nh=9 and M=4096 allocates at most a quarter of one
+    M x M array of doubles at its peak.  A stored G takes a whole one."""
+    prob, _, dp = _setup(example2(), 9)
+    M = 4096
+    tracemalloc.start()
+    try:
+        rep = fixed_point_solve(dp, uniform_grid(prob.T, M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak <= 0.25 * 8 * M * M
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident size in /proc")
+def test_reduced_solve_grows_peak_rss_by_under_half_a_square_array():
+    """tracemalloc misses numpy's internal copies, so the fresh process of
+    the state's test also reads its peak resident size over the whole
+    solve at nh=9 and M=4096: it grows by less than half of one M x M array
+    of doubles.  A stored G, or its Gram product, grows it by more than a
+    whole one."""
+    M = 4096
+    assert _peak_rss_growth()[1] < 0.5 * 8 * M * M
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "marched"])
@@ -787,8 +830,9 @@ def _reduced_pairing(dp, grid, monkeypatch):
 
 
 def test_reduced_sweep_holds_no_copy_of_G(monkeypatch):
-    """With two controls one sweep's pairing allocates at most 0.05 of G's
-    8 (2 M)^2 bytes at its peak: the product reads G in place."""
+    """With two controls one sweep's pairing allocates at most 0.05 of the
+    8 (2 M)^2 bytes that G would take at its peak: the product correlates
+    G's moments with the load weights and builds no part of G."""
     prob, _, dp = _two_controls(9)
     M = 512
     grid = uniform_grid(prob.T, M)
