@@ -128,7 +128,7 @@ def build_parser():
     ap.add_argument("--example", choices=PROBLEMS, default="1",
                     help="1, 2 or manufactured (default 1)")
     ap.add_argument("--levels", type=_checked(
-        lambda s: [int(tok) for tok in s.split(",") if tok.strip()],
+        lambda s: [int(tok) for tok in s.split(",")],
         lambda ls: ls and min(ls) >= 2 and all(
             a < b for a, b in zip(ls, ls[1:])), "invalid level list"),
                     help="comma list of time interval counts")

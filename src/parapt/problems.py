@@ -4,11 +4,10 @@ All data is separable: sums of theta(t) * sin(q pi x1) * sin(q pi x2).
 Each problem is given by its optimal state and adjoint on one sine mode
 q, as (y, y', p, p') in time; the load, the adjoint right-hand side, the
 target, the clamped control and the initial state are derived from them
-by one constructor.  The terms of the exact state and adjoint carry the
-Laplacians of their profiles in closed form, so the state and adjoint
-equations can be checked with central-difference time derivatives, and
-clamp kinks of exact controls are located by bisection so quadrature can
-split there.
+by one constructor.  The self-test checks the state and adjoint equations
+by differences of the exact terms, in time and in space, so a wrong y',
+p' or eigenvalue in the data shows.  Clamp kinks of exact controls are
+located by bisection so quadrature can split there.
 
 Two control-constrained examples (a short-horizon exponential target and
 an oscillatory one) plus a manufactured problem with no control component,
@@ -30,10 +29,9 @@ def sin_profile(p=1, q=1):
 
 @dataclass
 class SeparableTerm:
-    """theta(t) * profile(x1, x2) with a closed-form Laplacian."""
+    """theta(t) * profile(x1, x2)."""
     theta: Callable
     profile: Callable
-    lap_profile: Callable = None
     breaks: tuple = ()
 
 
@@ -95,9 +93,7 @@ def _mode_problem(name, T, alpha, box, y, dy, p, dp, q=1):
     """
     lam = 2.0 * q * q * np.pi**2
     g = sin_profile(q, q)
-    term = lambda theta, breaks=(): SeparableTerm(
-        theta=theta, profile=g,
-        lap_profile=lambda x1, x2: -lam * g(x1, x2), breaks=tuple(breaks))
+    term = lambda theta, breaks=(): SeparableTerm(theta, g, tuple(breaks))
 
     u_arg = lambda t: -p(t) / (4.0 * alpha)
     bounds = list(zip(box.lower.tolist(), box.upper.tolist()))
@@ -159,44 +155,39 @@ def manufactured_smooth(T=0.5, q=1):
         dp=lambda t: -(1.0 + T - np.asarray(t, dtype=float)) * ex(t), q=q)
 
 
-def _eval_terms(terms, ts, X, Y, use_lap=False):
-    out = np.zeros((len(ts), X.size))
-    for term in terms:
-        pr = term.lap_profile if use_lap else term.profile
-        out += (np.asarray(term.theta(ts), dtype=float)[:, None]
-                * np.asarray(pr(X, Y), dtype=float).ravel()[None, :])
-    return out
-
-
 def self_test(problem):
     """Relative strong residuals of the state and adjoint equations.
 
     At 50 times and 3 x 3 points, y' - Laplace y - f and
     -p' - Laplace p - h, each divided by the largest |f| or |h| over the
-    samples.  The time derivatives are central differences of the exact
-    terms (step 1e-6 T), so a wrong y' or p' in the problem data shows.
-    Raises AssertionError above 1e-8.
+    samples.  Derivatives are differences of the exact terms: in time
+    central (step 1e-6 T), in space the fourth-order 9-point Laplacian
+    (step 1e-3).  So a wrong y' or p' in the problem data, or a profile
+    off its eigenvalue, shows.  Raises AssertionError above 1e-8.
     """
     if problem.exact is None:
         raise ValueError("problem has no exact solution")
     ex = problem.exact
     ts = np.linspace(0.0, problem.T, 50)
-    xs = np.array([0.25, 0.5, 0.75])
-    X, Y = np.meshgrid(xs, xs)
-    dt = 1e-6 * problem.T
-    d_dt = lambda terms: (_eval_terms(terms, ts + dt, X, Y)
-                          - _eval_terms(terms, ts - dt, X, Y)) / (2.0 * dt)
+    X, Y = np.meshgrid([0.25, 0.5, 0.75], [0.25, 0.5, 0.75])
+    dt, h = 1e-6 * problem.T, 1e-3
+    taps = ((0.0, -30.0), (h, 16.0), (-h, 16.0), (2 * h, -1.0), (-2 * h, -1.0))
 
-    f = _eval_terms(problem.g0, ts, X, Y)
-    for i, g in enumerate(problem.g):
-        f += (np.asarray(ex.u_funcs[i](ts), dtype=float)[:, None]
-              * np.asarray(g(X, Y), dtype=float).ravel()[None, :])
-    r_state = d_dt(ex.y) - _eval_terms(ex.y, ts, X, Y, use_lap=True) - f
+    def at(terms, t, dx=0.0, dy=0.0):
+        return sum(np.asarray(s.theta(t), dtype=float)[:, None]
+                   * np.asarray(s.profile(X + dx, Y + dy), dtype=float).ravel()
+                   for s in terms)
 
-    h = _eval_terms(ex.p_rhs, ts, X, Y)
-    r_adj = -d_dt(ex.p) - _eval_terms(ex.p, ts, X, Y, use_lap=True) - h
+    def residual(sol, rhs, sign):
+        """sign sol' - Laplace sol - rhs, over max |rhs|."""
+        lap = sum(w * (at(sol, ts, d) + at(sol, ts, 0.0, d)) for d, w in taps)
+        rhs = at(rhs, ts)
+        r = (sign * (at(sol, ts + dt) - at(sol, ts - dt)) / (2.0 * dt)
+             - lap / (12.0 * h * h) - rhs)
+        return float(np.max(np.abs(r)) / np.max(np.abs(rhs)))
 
-    res = {"state": float(np.max(np.abs(r_state)) / np.max(np.abs(f))),
-           "adjoint": float(np.max(np.abs(r_adj)) / np.max(np.abs(h)))}
+    controls = [SeparableTerm(u, g) for u, g in zip(ex.u_funcs, problem.g)]
+    res = {"state": residual(ex.y, problem.g0 + controls, 1.0),
+           "adjoint": residual(ex.p, ex.p_rhs, -1.0)}
     assert max(res.values()) < 1e-8, f"self-test residuals too large: {res}"
     return res

@@ -45,15 +45,15 @@ def make_grid(t):
 
 
 def uniform_grid(T, M):
-    if not (M >= 1 and 0 < T < np.inf):
-        raise ValueError("need M >= 1 and finite T > 0")
+    if not (isinstance(M, (int, np.integer)) and M >= 1 and 0 < T < np.inf):
+        raise ValueError("need M >= 1 and finite T > 0, M an integer")
     return make_grid(np.linspace(0.0, T, M + 1))
 
 
 def graded_grid(T, M, gamma):
     """Nodes T*(m/M)**gamma; gamma = 1 recovers the uniform grid."""
-    if not (M >= 1 and 0 < T < np.inf):
-        raise ValueError("need M >= 1 and finite T > 0")
+    if not (isinstance(M, (int, np.integer)) and M >= 1 and 0 < T < np.inf):
+        raise ValueError("need M >= 1 and finite T > 0, M an integer")
     if not gamma > 0:
         raise ValueError("grading exponent must be positive")
     m = np.arange(M + 1) / M

@@ -122,6 +122,8 @@ def test_main_usage_errors(tmp_path):
     assert main(["--config", str(cfg), "--out", out]) == 1
     cfg.write_text("example=1\nlevels=4\nnhh=129\n")   # unknown key
     assert main(["--config", str(cfg), "--nh", "9", "--out", out]) == 1
+    cfg.write_text("example=1\nlevels=8,,16\nnh=3\n")   # an empty level
+    assert main(["--config", str(cfg), "--out", out]) == 1
     assert not (tmp_path / "x" / "summary.jsonl").exists()
 
 
@@ -277,12 +279,16 @@ def test_main_rejects_bad_alpha_from_config(tmp_path):
     (["--threshold", "inf"], "threshold must be non-negative and finite"),
     (["--levels", "8,8"], "invalid level list"),
     (["--levels", "16,8"], "invalid level list"),
+    (["--levels", "8,,16"], "invalid level list"),
+    (["--levels", ",8,16"], "invalid level list"),
+    (["--levels", "8,16,"], "invalid level list"),
 ])
 def test_main_rejects_bad_study_input(tmp_path, capsys, flags, message):
     """--nh 2 used to report all-zero errors as success, --levels 1 to end
     in a traceback, a negative or NaN threshold to burn 100 sweeps per
-    level, and a repeated or decreasing level list to exit 0 with
-    duplicate rows or orders taken from coarsening."""
+    level, a repeated or decreasing level list to exit 0 with duplicate
+    rows or orders taken from coarsening, and a list with an empty item
+    to exit 0 with that item dropped."""
     out = tmp_path / "b"
     rc = main(["--example", "1", "--levels", "4", "--nh", "9",
                "--out", str(out)] + flags)

@@ -19,7 +19,17 @@ def test_exact_solutions_satisfy_their_equations(factory):
     """State and adjoint equation residuals, sampled over the space-time
     cylinder."""
     residuals = self_test(factory())
-    assert max(residuals.values()) <= 1e-8
+    assert max(residuals.values()) <= 1e-9
+
+
+@pytest.mark.parametrize("factory", [example1, example2, manufactured_smooth])
+def test_self_test_rejects_a_profile_off_its_eigenvalue(factory, monkeypatch):
+    """self_test differences the Laplacian itself, so data built for mode
+    q's eigenvalue on a mode q + 1 profile fails it."""
+    monkeypatch.setattr("parapt.problems.sin_profile",
+                        lambda p=1, q=1: sin_profile(p + 1, q + 1))
+    with pytest.raises(AssertionError, match="residuals too large"):
+        self_test(factory())
 
 
 @pytest.mark.parametrize("scale", [{"dy_scale": 1.01}, {"dp_scale": 1.01}],

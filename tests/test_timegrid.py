@@ -163,17 +163,19 @@ def test_make_grid_rejects_bad_nodes(nodes, message):
 
 
 @pytest.mark.parametrize("T, M", [(np.inf, 4), (np.nan, 4), (0.0, 4),
-                                  (1.0, 0)])
+                                  (1.0, 0), (0.5, 8.5), (0.5, 8.0)])
 def test_uniform_grid_rejects_bad_sizes(T, M):
+    """A non-integral M used to raise TypeError from np.linspace."""
     with pytest.raises(ValueError, match="need M >= 1 and finite T > 0"):
         uniform_grid(T, M)
 
 
 @pytest.mark.parametrize("T, M", [(np.inf, 4), (np.nan, 4), (0.0, 4),
-                                  (1.0, 0)])
+                                  (1.0, 0), (0.5, 8.5), (0.5, 8.0)])
 def test_graded_grid_rejects_bad_sizes(T, M):
     """Checked up front: M = 0 would divide by zero and T = inf multiply
-    0 by inf, each warning before make_grid saw the NaN nodes."""
+    0 by inf, each warning before make_grid saw the NaN nodes.  M = 8.5
+    used to give 9 intervals ending past T, and M = 8.0 was accepted."""
     with pytest.raises(ValueError, match="need M >= 1 and finite T > 0"):
         graded_grid(T, M, 2.0)
 
